@@ -112,7 +112,8 @@ class Context:
         self.calibration: list[float] = []
 
     def checkpoint(self) -> None:
-        """Between operations: sample memory and the CPU's current speed."""
+        """Between operations: sample memory and the CPU's current speed
+        (best of three loops)."""
         self.memory.sample()
         self.calibration.append(min(calibration_loop() for _ in range(3)))
 
@@ -165,16 +166,19 @@ class Context:
 
 
 def calibration_loop() -> float:
-    """Seconds for a fixed piece of interpreter and NumPy work: the speed the
-    host gives this run's CPU at the moment (it moves by tens of percent
-    within seconds on a shared host)."""
-    t = time.perf_counter()
+    """CPU seconds this thread spends on a fixed piece of interpreter and
+    NumPy work: the speed the host gives this run's CPU at the moment (it
+    moves by tens of percent within seconds on a shared host). Thread CPU
+    time, not wall time, so that other processes of the session running on
+    the same CPU do not slow the loop: background work that a program change
+    adds shows in the metrics and not in the factor that rescales them."""
+    t = time.thread_time()
     x = 0
     for i in range(20000):
         x += i * i
     a = np.arange(30000, dtype=np.int64)
     np.sort(a[::-1] ^ 0x5555)
-    return time.perf_counter() - t
+    return time.thread_time() - t
 
 
 def median(xs) -> float:

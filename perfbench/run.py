@@ -29,8 +29,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("build", "serve", "ingest", "operators")
 OBJECT_STORE_BYTES = 768 << 20
 # Times are reported at the CPU speed where common.calibration_loop takes
-# this long (this machine when its host is quiet); see README.md.
-CALIBRATION_REFERENCE_S = 0.0017
+# this long: the median, over five `ingest` runs on a 1-CPU reference
+# machine (Xeon, 2.1 GHz), of each run's median loop time; see README.md.
+CALIBRATION_REFERENCE_S = 0.00157
 _SPEED_POWER = {"s": 1, "ms": 1, "1/s": -1}
 
 
@@ -77,18 +78,22 @@ def confine_session(n: int) -> None:
                 pass
 
 
-def scale_to_reference(metrics: dict, units: dict, calibration: list[float]) -> None:
-    """Rescale the time and rate metrics measured while `calibration` was
-    sampled to the reference CPU speed. setup_s stays as measured: it is
+def scale_to_reference(metrics: dict, units: dict,
+                       calibration: list[float]) -> tuple[dict, float]:
+    """Rescale, in place, the time and rate metrics measured while
+    `calibration` was sampled to the reference CPU speed; return the
+    unscaled metrics and the factor. setup_s stays as measured: it is
     dominated by process start-up, which the calibration loop does not
     track."""
     import statistics
 
+    unscaled = dict(metrics)
     factor = CALIBRATION_REFERENCE_S / statistics.median(calibration)
     for name, value in metrics.items():
         power = _SPEED_POWER.get(units[name])
         if power is not None and name != "setup_s":
             metrics[name] = value * factor ** power
+    return unscaled, factor
 
 
 def parse_args(argv=None):
@@ -153,7 +158,7 @@ def main(argv=None) -> int:
         modules[args.workload].run(ctx)
         ctx.metrics["setup_s"] = ctx.setup_s
         ctx.metrics["peak_mem_mb"] = ctx.memory.total_mb()
-        scale_to_reference(ctx.metrics, units, ctx.calibration)
+        unscaled, factor = scale_to_reference(ctx.metrics, units, ctx.calibration)
         if args.trace:
             traced_e2e = dict(ctx.metrics)
             ctx.metrics = {}
@@ -164,7 +169,7 @@ def main(argv=None) -> int:
                 with ctx.tracer.span(f"layers.{w}"):
                     modules[w].layers(ctx)
                 ctx.checkpoint()
-            scale_to_reference(ctx.metrics, units, ctx.calibration)
+            unscaled, factor = scale_to_reference(ctx.metrics, units, ctx.calibration)
     finally:
         ray.shutdown()
         shutil.rmtree(work, ignore_errors=True)
@@ -177,7 +182,8 @@ def main(argv=None) -> int:
                            f"trace-{args.workload}-s{args.seed}-p{os.getpid()}.jsonl")
         ctx.tracer.write(out)
         with open(out, "a") as f:
-            f.write(json.dumps({"traced_e2e": traced_e2e, "layers": ctx.metrics}) + "\n")
+            f.write(json.dumps({"traced_e2e": traced_e2e, "layers": ctx.metrics,
+                                "layers_unscaled": unscaled, "speed_factor": factor}) + "\n")
     missing = sorted(set(wanted) - set(ctx.metrics))
     extra = sorted(set(ctx.metrics) - set(wanted))
     if missing or extra:
@@ -186,6 +192,9 @@ def main(argv=None) -> int:
     if ctx.failed_by_fault:
         print(f"[perfbench] failed operations by known fault: {ctx.failed_by_fault}",
               file=sys.stderr)
+    # the same metrics before rescaling, and the factor: a diagnostic line
+    print(json.dumps({"unscaled": {n: float(unscaled[n]) for n in wanted},
+                      "speed_factor": factor}))
     print(json.dumps({
         "correct": correct,
         "attempted": ctx.attempted,
