@@ -41,7 +41,9 @@ from .manifest import (
 
 def _tokenize_group(frag_dicts: list[dict], cfg: dict, num_buckets: int):
     """Ray task body: tokenize a group of fragments, split triples by bucket.
-    Returns num_buckets tables (one object each via num_returns)."""
+    Returns num_buckets tables (one object each via num_returns); with one
+    bucket the table itself, since num_returns=1 stores whatever the task
+    returns as its single object."""
     tok = TokenizeFragments(**cfg)
     tables = []
     for fd in frag_dicts:
@@ -54,7 +56,7 @@ def _tokenize_group(frag_dicts: list[dict], cfg: dict, num_buckets: int):
     buckets = buckets[order]
     cuts = np.searchsorted(buckets, np.arange(num_buckets + 1))
     out = [t.slice(int(cuts[b]), int(cuts[b + 1] - cuts[b])) for b in range(num_buckets)]
-    return tuple(out)
+    return out[0] if num_buckets == 1 else tuple(out)
 
 
 def _encode_bucket_task(out_path: str, hot_terms: frozenset, *tables: pa.Table):

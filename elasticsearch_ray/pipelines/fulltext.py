@@ -10,6 +10,7 @@ rank-parity suite instead (tests/test_index_search.py).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 
@@ -25,6 +26,36 @@ _SEARCHERS: dict[str, IndexSearcher] = {}
 K1, B = 1.2, 0.75  # SimilarityProviders.java:275-276 defaults
 
 
+# package modules whose code decides what an index holds on disk; the
+# cached documents index is keyed on their source so a code change rebuilds it
+INDEX_WRITERS = ("codec.py", "stages/tokenize.py", "stages/encode.py",
+                 "index/build.py")
+
+
+def source_digest(paths) -> str:
+    h = hashlib.sha1()
+    for p in paths:
+        with open(p, "rb") as f:
+            h.update(f.read())
+    return h.hexdigest()
+
+
+@functools.cache
+def index_writer_digest() -> str:
+    """source_digest of INDEX_WRITERS, computed once per process."""
+    pkg = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    return source_digest(os.path.join(pkg, rel) for rel in INDEX_WRITERS)
+
+
+def documents_index_dir(sf_dir: str) -> str:
+    """Cache dir of the documents index: keyed on the source file, its mtime
+    and the index-writing code."""
+    src = os.path.join(sf_dir, "documents.parquet")
+    key = f"{src}:{os.path.getmtime(src)}:simple:{index_writer_digest()}"
+    return os.path.join("/tmp/esray_cache",
+                        f"docidx_{hashlib.sha1(key.encode()).hexdigest()[:16]}")
+
+
 def documents_index(sf_dir: str) -> str:
     """Build-or-reuse the documents index for one sf dir; returns index dir.
 
@@ -33,8 +64,7 @@ def documents_index(sf_dir: str) -> str:
     `text_2gram` is a shingle SUBFIELD of text (per-field analyzer — the
     search_as_you_type `_2gram` shape)."""
     src = os.path.join(sf_dir, "documents.parquet")
-    tag = hashlib.sha1(f"{src}:{os.path.getmtime(src)}:simple:v4".encode()).hexdigest()[:16]
-    out = os.path.join("/tmp/esray_cache", f"docidx_{tag}")
+    out = documents_index_dir(sf_dir)
     build_index(
         src,
         out,

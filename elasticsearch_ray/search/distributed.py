@@ -3,15 +3,16 @@
 Mirrors the reference's coordinator protocol (SURVEY.md §3.2):
   1. segment partitions assigned to long-lived searcher actors (the data-node
      role; shards -> actors);
-  2. DFS stats phase — per-dictionary-key local dfs gathered and summed so
-     every actor scores with GLOBAL (N, avgdl, df) exactly like the
-     reference's dfs_query_then_fetch
-     (action/search/SearchDfsQueryThenFetchAsyncAction.java,
-     DfsQueryPhase.java). Keys are field-qualified (fkey+term) and collected
-     ON an actor (IndexSearcher.collect_query_keys) so per-field analyzers
-     and aliases resolve exactly as at scoring time; per-field token totals
-     ship alongside so per-field avgdl is global too.
-  3. query phase fan-out — each actor returns its local top-k;
+  2. collection-wide statistics, read from the index ONCE per actor: every
+     actor group-sums the (term, df, sum_tf) postings columns of every
+     served segment per dictionary key (field-qualified fkey+term keys
+     included), takes N and sum_doc_len from the manifests and per-field
+     token totals from docmeta, and installs them with
+     IndexSearcher.set_global_stats. Every actor then scores with GLOBAL
+     (N, avgdl, df, ttf) exactly like the reference's dfs_query_then_fetch
+     (action/search/SearchDfsQueryThenFetchAsyncAction.java), without its
+     per-query DFS round;
+  3. query phase: ONE fan-out per query — each actor returns its local top-k;
   4. reduce — k-way merge of the tiny per-actor candidate sets by
      (score desc, doc_id asc) (SearchPhaseController.mergeTopDocs:221-243).
 
@@ -21,56 +22,56 @@ partitioned path exists so query serving scales out with segments.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
+import pyarrow.compute as pc
+import pyarrow.dataset as pads
+
+
+def collection_stats(index_dir: str, segment_ids: list[str]):
+    """Collection-wide statistics of the given live segments ->
+    (n_docs, sum_doc_len, (keys, df, ttf), field_sums), in the form
+    IndexSearcher.set_global_stats takes. `keys` is sorted (Arrow's UTF-8
+    byte order is code-point order, so np.searchsorted with str agrees)."""
+    from ..index.manifest import committed_segments, live_segments
+    from ..sources.reader import list_parquet_files
+
+    live = live_segments(committed_segments(index_dir))
+    manifests = [live[sid] for sid in segment_ids]
+    postings = pads.dataset([
+        f for sid in segment_ids
+        for f in list_parquet_files(os.path.join(index_dir, sid, "postings"))
+    ]).to_table(columns=["term", "df", "sum_tf"])
+    terms = (postings.group_by("term")
+             .aggregate([("df", "sum"), ("sum_tf", "sum")])
+             .sort_by("term"))
+    term_stats = (terms["term"].to_numpy(zero_copy_only=False),
+                  terms["df_sum"].to_numpy(),
+                  terms["sum_tf_sum"].to_numpy())
+    field_sums: dict[str, int] = {}
+    for sid in segment_ids:
+        meta = pads.dataset(os.path.join(index_dir, sid, "docmeta"))
+        lens = [c for c in meta.schema.names if c.startswith("len_")]
+        for c, col in zip(lens, meta.to_table(columns=lens).columns):
+            f = c[len("len_"):]
+            field_sums[f] = field_sums.get(f, 0) + int(pc.sum(col).as_py() or 0)
+    return (sum(m.doc_count for m in manifests),
+            sum(m.sum_doc_len for m in manifests), term_stats, field_sums)
 
 
 class SearcherActor:
-    """One data-node role: an IndexSearcher over a partition of segments."""
+    """One data-node role: an IndexSearcher over a partition of segments,
+    scoring with the statistics of every segment the coordinator serves."""
 
-    def __init__(self, index_dir: str, segments: list[str], **kw):
+    def __init__(self, index_dir: str, segments: list[str],
+                 all_segments: list[str], **kw):
         from .engine import IndexSearcher
 
         self.searcher = IndexSearcher(index_dir, segments=segments, **kw)
-
-    def collect_keys(self, q: dict) -> list[str]:
-        return sorted(self.searcher.collect_query_keys(q))
-
-    def term_dfs(self, keys: list[str]) -> tuple[dict[str, int], dict[str, int]]:
-        """(df, ttf) per key — ttf globalizes the alternative similarities'
-        collection model (TermStatistics.totalTermFreq)."""
-        return (self.searcher.local_term_dfs(keys),
-                self.searcher.local_term_ttfs(keys))
-
-    def local_stats(self) -> tuple[int, int, dict]:
-        return (self.searcher.n_docs, self.searcher.sum_doc_len,
-                self.searcher.local_field_sums())
-
-    def set_stats(self, n_docs: int, sum_doc_len: int, df_map: dict,
-                  field_sums: dict, ttf_map: dict | None = None) -> bool:
-        self.searcher.set_global_stats(n_docs, sum_doc_len, df_map,
-                                       field_sums, ttf_map)
-        return True
+        self.searcher.set_global_stats(*collection_stats(index_dir, all_segments))
 
     def search(self, q: dict, use_wand: bool = True):
-        ids, sc = self.searcher.search(q, use_wand=use_wand)
-        return ids, np.asarray(sc, dtype=np.float64)
-
-    def dfs_for_query(self, q: dict):
-        """One-round DFS: collect this query's field-qualified keys locally
-        (analyzers are identical on every actor) and return local (df, ttf)
-        for them — replaces the collect_keys + term_dfs round-trip pair."""
-        keys = sorted(self.searcher.collect_query_keys(q))
-        return (self.searcher.local_term_dfs(keys),
-                self.searcher.local_term_ttfs(keys))
-
-    def search_with_stats(self, q: dict, n_docs: int, sum_doc_len: int,
-                          df_map: dict, field_sums: dict, ttf_map: dict,
-                          use_wand: bool = True):
-        """Install global stats and search in ONE round trip (the set_stats
-        + search pair fused; the stats payload is the query's own term maps,
-        a few hundred bytes)."""
-        self.searcher.set_global_stats(n_docs, sum_doc_len, df_map,
-                                       field_sums, ttf_map)
         ids, sc = self.searcher.search(q, use_wand=use_wand)
         return ids, np.asarray(sc, dtype=np.float64)
 
@@ -79,64 +80,39 @@ class SearcherActor:
 
 
 class DistributedSearcher:
-    """Coordinator: round-robin segment assignment + DFS + fan-out + merge."""
+    """Coordinator: round-robin segment assignment + fan-out + merge."""
 
     def __init__(self, index_dir: str, num_searchers: int = 2, **kw):
         import ray
 
         from ..index.manifest import committed_segments, live_segments
 
-        live = live_segments(committed_segments(index_dir))
-        seg_ids = sorted(live)
+        seg_ids = sorted(live_segments(committed_segments(index_dir)))
         num_searchers = max(1, min(num_searchers, len(seg_ids)))
         assign: list[list[str]] = [[] for _ in range(num_searchers)]
         for i, sid in enumerate(seg_ids):
             assign[i % num_searchers].append(sid)
         # data-node failover: the durable index lives on (shared) storage and
-        # every query ships its own global stats (search_with_stats), so a
-        # restarted actor is immediately correct after __init__ reloads its
-        # segment partition — max_restarts + task retries make a searcher
-        # crash invisible to the coordinator (the reference's shard-failover
-        # analog, minus replica copies). max_restarts>0 is safe here because
-        # the ctor args are plain small values (a path string + segment-id
-        # list), never object-store refs — the ray#53727 restart-after-GC
-        # hazard needs large/ref ctor args, which this actor never takes.
+        # every actor rebuilds its partition AND the collection-wide stats
+        # from it in __init__, so a restarted actor is immediately correct —
+        # max_restarts + task retries make a searcher crash invisible to the
+        # coordinator (the reference's shard-failover analog, minus replica
+        # copies). max_restarts>0 is safe here because the ctor args are
+        # plain small values (a path string + segment-id lists), never
+        # object-store refs — the ray#53727 restart-after-GC hazard needs
+        # large/ref ctor args, which this actor never takes.
         Actor = ray.remote(max_restarts=2, max_task_retries=2)(SearcherActor)
         self.actors = [
-            Actor.remote(index_dir, segs, **kw) for segs in assign if segs
+            Actor.remote(index_dir, segs, seg_ids, **kw) for segs in assign if segs
         ]
-        stats = ray.get([a.local_stats.remote() for a in self.actors])
-        self.n_docs = sum(s[0] for s in stats)
-        self.sum_doc_len = sum(s[1] for s in stats)
-        self.field_sums: dict[str, int] = {}
-        for s in stats:
-            for f, tot in s[2].items():
-                self.field_sums[f] = self.field_sums.get(f, 0) + tot
+        # wait for the constructors: a partition that fails to load fails
+        # here, not at the first query
+        ray.get([a.__ray_ready__.remote() for a in self.actors])
         self._ray = ray
 
     def search(self, q: dict, use_wand: bool = True):
-        ray = self._ray
         k = int(q.get("k", 10))
-        # DFS phase, ONE round: every actor collects the query's keys
-        # itself (identical analyzers) and returns local (df, ttf); the
-        # coordinator sums. Was collect_keys -> term_dfs -> set_stats ->
-        # search = 4 round trips; now dfs_for_query -> search_with_stats
-        # = 2, halving per-query coordination latency.
-        df_parts = ray.get([a.dfs_for_query.remote(q) for a in self.actors])
-        df_map: dict[str, int] = {}
-        ttf_map: dict[str, int] = {}
-        for dfs, ttfs in df_parts:
-            for t, d in dfs.items():
-                df_map[t] = df_map.get(t, 0) + d
-            for t, f in ttfs.items():
-                ttf_map[t] = ttf_map.get(t, 0) + f
-        # query phase fan-out (stats ride along) + mergeTopDocs-style reduce
-        results = ray.get([
-            a.search_with_stats.remote(q, self.n_docs, self.sum_doc_len,
-                                       df_map, self.field_sums, ttf_map,
-                                       use_wand)
-            for a in self.actors
-        ])
+        results = self._ray.get([a.search.remote(q, use_wand) for a in self.actors])
         ids = np.concatenate([r[0] for r in results]) if results else np.empty(0, np.int64)
         sc = np.concatenate([r[1] for r in results]) if results else np.empty(0)
         if ids.size == 0:

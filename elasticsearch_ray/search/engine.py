@@ -16,12 +16,12 @@ Mirrors the reference's query-then-fetch pipeline in miniature:
     (SURVEY.md §2.14) aggregated over all committed segments.
 
 The stats + term dictionary + decoded-posting cache live in a stateful
-searcher, deployed as an actor pool over a *dataset of queries*
-(`queries_ds.map_batches(SearcherStage, concurrency=N)`). On a multi-node
-cluster each actor would own a partition of segments with a DFS stats phase
-and a tiny per-qid top-k merge (SearchPhaseController.mergeTopDocs:221-243
-analog); in this single-node build every actor loads all segments and the
-merge is the identity.
+searcher, served two ways: `search/distributed.py` gives each Ray actor a
+partition of segments plus the collection-wide statistics (installed once
+with `set_global_stats`) and merges the per-actor top-k
+(SearchPhaseController.mergeTopDocs:221-243 analog); `search/stage.py`
+maps a *dataset of queries* over an actor pool in which every actor loads
+all segments, so no merge is needed there.
 
 Query dicts (the DSL, mirroring SearchModule.java:780 registrations):
   term, match (or/and), match_phrase, match_phrase_prefix, prefix, wildcard,
@@ -826,8 +826,8 @@ class IndexSearcher:
         if not manifests:
             raise ValueError(f"no committed segments under {index_dir}")
         self.manifests = manifests
-        self._df_override: dict[str, int] | None = None
-        self._ttf_override: dict[str, int] | None = None
+        # (sorted keys, df, ttf) installed by set_global_stats
+        self._global_terms: tuple[np.ndarray, ...] | None = None
         self.wand_min_postings = wand_min_postings
         if lazy is None:
             # auto: go disk-resident when the postings exceed ~256 MB
@@ -929,6 +929,9 @@ class IndexSearcher:
     # ---------- term dictionary / postings ----------
 
     def global_df(self, term: str, field: str | None = None) -> int:
+        g = self._global_stats(self._fkey(field) + term)
+        if g is not None:
+            return g[0]
         tp = self._get_term(term, field)
         return tp.df if tp else 0
 
@@ -953,43 +956,50 @@ class IndexSearcher:
 
     # ---------- scoring primitives ----------
 
+    def _global_stats(self, key: str) -> tuple[int, int] | None:
+        """(df, ttf) of a dictionary key from the installed collection-wide
+        table, or None when no table is installed or the key is absent."""
+        if self._global_terms is None:
+            return None
+        keys, df, ttf = self._global_terms
+        i = int(np.searchsorted(keys, key))
+        if i < keys.size and keys[i] == key:
+            return int(df[i]), int(ttf[i])
+        return None
+
     def _df(self, tp: TermPostings) -> int:
-        """Effective df: the global override when this searcher only holds a
-        partition of segments (DFS phase analog — SURVEY.md §2.14 stats
-        scope; action/search/SearchDfsQueryThenFetchAsyncAction.java)."""
-        if self._df_override is not None:
-            return self._df_override.get(tp.term, tp.df)
-        return tp.df
+        """Effective df: the collection-wide value when this searcher only
+        holds a partition of segments (the dfs_query_then_fetch scope —
+        SURVEY.md §2.14), else the local one."""
+        g = self._global_stats(tp.term)
+        return tp.df if g is None else g[0]
 
     def _ttf(self, tp: TermPostings) -> int:
-        """Effective total term frequency: global override under DFS stats
-        (TermStatistics.totalTermFreq), else the local sum of tfs."""
-        if self._ttf_override is not None:
-            local = int(tp.tfs.sum())
-            return self._ttf_override.get(tp.term, local)
-        return int(tp.tfs.sum())
+        """Effective total term frequency (TermStatistics.totalTermFreq):
+        collection-wide when installed, else the local sum of tfs."""
+        g = self._global_stats(tp.term)
+        return int(tp.tfs.sum()) if g is None else g[1]
 
     def set_global_stats(self, n_docs: int, sum_doc_len: int,
-                         df_map: dict[str, int] | None = None,
-                         field_sums: dict[str, int] | None = None,
-                         ttf_map: dict[str, int] | None = None) -> None:
-        """Install collection-wide stats (DFS phase result) so a
-        partition-holding searcher scores identically to a global one.
-        `df_map` is keyed by full dictionary keys (fkey+term) so field-scoped
-        clauses get the global df; `field_sums` carries global per-field token
-        totals for per-field avgdl parity."""
+                         term_stats=(),
+                         field_sums: dict[str, int] | None = None) -> None:
+        """Install collection-wide stats so a partition-holding searcher
+        scores identically to a global one. `term_stats` is (keys, df, ttf):
+        the sorted dictionary keys (fkey+term, so field-scoped clauses get
+        the global df) with their df and total term frequency arrays; empty
+        leaves per-term stats local. `field_sums` carries global per-field
+        token totals for per-field avgdl parity."""
         self.n_docs = n_docs
         self.sum_doc_len = sum_doc_len
         self.avgdl = sum_doc_len / max(n_docs, 1)
         self._norm_cache32 = self.bm25.norm_cache(self.avgdl)
-        self._df_override = df_map
-        self._ttf_override = ttf_map
+        self._global_terms = tuple(term_stats) or None
         self._field_sums_override = field_sums
         # per-field avgdl depends on (n_docs, field_sums): rebuild lazily
         self._field_stats_cache.clear()
 
     def local_field_sums(self) -> dict[str, int]:
-        """DFS phase contribution: this partition's per-field token totals."""
+        """This partition's per-field token totals."""
         out: dict[str, int] = {}
         for f in self.extra_fields:
             total = 0
@@ -999,87 +1009,14 @@ class IndexSearcher:
             out[f] = total
         return out
 
-    def local_term_dfs(self, keys: list[str]) -> dict[str, int]:
-        """DFS phase contribution: this searcher's local df per dictionary
-        key (fkey+term — field-qualified keys probe the right postings)."""
-        out = {}
-        for k in keys:
-            tp = self._get_term_key(k)
-            if tp is not None:
-                out[k] = tp.df
-        return out
-
-    def local_term_ttfs(self, keys: list[str]) -> dict[str, int]:
-        """DFS phase contribution: local total term frequency per key
-        (Lucene TermStatistics.totalTermFreq — needed to globalize the
-        collection model of the alternative similarities)."""
-        out = {}
-        for k in keys:
-            tp = self._get_term_key(k)
-            if tp is not None:
-                out[k] = int(tp.tfs.sum())
-        return out
-
-    def collect_query_keys(self, q: dict, field: str | None = None) -> set[str]:
-        """Walk a query tree and return every dictionary key (fkey+term) whose
-        df the DFS phase must globalize — the DfsQueryPhase term-collection
-        analog, field-aware (per-field analyzers, field-qualified keys)."""
-        kind = q.get("kind")
-        f = self._norm_field(q.get("field", field))
-        fk = self._fkey(f)
-        an = self._analyzer_for(f)
-        out: set[str] = set()
-        if kind == "term":
-            out.add(fk + q["term"])
-        elif kind == "terms":
-            out.update(fk + t for t in q.get("terms", []))
-        elif kind == "terms_set":
-            out.update(fk + t for t in q.get("terms", []))
-        elif kind in ("match", "match_phrase", "match_phrase_prefix",
-                      "match_bool_prefix", "common"):
-            out.update(fk + t for t in an(q["text"]))
-        elif kind == "more_like_this":
-            out.update(fk + t for t in an(q["like"]))
-        elif kind == "span_near":
-            out.update(fk + t for t in q.get("terms", [])
-                       if not isinstance(t, dict))
-        elif kind == "multi_match":
-            for fspec in q["fields"]:
-                mf = fspec.split("^", 1)[0]
-                nmf = self._norm_field(mf)
-                out.update(self._fkey(nmf) + t
-                           for t in self._analyzer_for(nmf)(q["text"]))
-        elif kind == "dis_max":
-            for sq in q.get("queries", []):
-                out |= self.collect_query_keys(sq, f)
-        elif kind == "constant_score":
-            out |= self.collect_query_keys(q["filter"], f)
-        elif kind == "boosting":
-            out |= self.collect_query_keys(q["positive"], f)
-            out |= self.collect_query_keys(q["negative"], f)
-        elif kind in ("function_score", "script_score", "nested"):
-            out |= self.collect_query_keys(q["query"], f)
-        elif kind == "bool":
-            for cl in ("must", "should", "must_not", "filter"):
-                for sq in q.get(cl, []):
-                    out |= self.collect_query_keys(sq, f)
-        elif kind == "simple_query_string":
-            out |= self.collect_query_keys(parse_simple_query_string(
-                q["query"], flags=q.get("flags", "ALL"),
-                default_operator=q.get("default_operator", "or")), f)
-        elif kind == "query_string":
-            out |= self.collect_query_keys(
-                parse_query_string(q["query"], q.get("default_field")), f)
-        return out
-
     def _term_scores(self, tp: TermPostings, boost: float = 1.0,
                      field: str | None = None) -> np.ndarray:
         norm_bytes, doc_lens, avgdl, cache32 = self._field_stats(field)
         if self.alt_sim is not None:
             # alternative similarity (DFR/IB/LM/boolean): float64 over exact
-            # lengths with global stats — under DistributedSearcher the DFS
-            # phase globalizes df AND ttf (_df/_ttf overrides), and
-            # sum_doc_len/avgdl arrive via set_global_stats, so partitioned
+            # lengths with global stats — under DistributedSearcher each
+            # actor installs collection-wide df AND ttf (_df/_ttf) and
+            # sum_doc_len/avgdl via set_global_stats, so partitioned
             # scoring is identical to the single searcher (tested)
             sum_dl = (self.sum_doc_len if self._norm_field(field) is None
                       else int(round(avgdl * self.n_docs)))

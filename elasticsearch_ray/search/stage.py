@@ -6,11 +6,10 @@ ONCE in __init__ and serves batches of queries — the reference analog of a
 data node's SEARCH threadpool executing QueryPhase per shard
 (search/SearchService.java:365, threadpool/ThreadPool.java:177-178).
 
-Multi-node design note: with segments partitioned across actors, each actor
-returns its local top-k per qid and a final `groupby("qid").map_groups`
-k-way-merges the tiny candidate sets (SearchPhaseController.mergeTopDocs
-analog, action/search/SearchPhaseController.java:221-243) after a DFS stats
-broadcast. Single-node: every actor loads all segments, no merge needed.
+Every actor here loads all segments, so each answers a query alone and no
+merge is needed. The segment-partitioned path, where actors score with
+collection-wide statistics and a coordinator merges their top-k, is
+`search/distributed.py`.
 """
 
 from __future__ import annotations
@@ -46,20 +45,18 @@ class SearcherStage:
         self.fetch_columns = fetch_columns
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        qids_out, ranks, docs, scores = [], [], [], []
-        qids = batch["qid"].to_pylist()
         queries = [json.loads(s) for s in batch["query"].to_pylist()]
-        for qid, q in zip(qids, queries):
-            ids, sc = self.searcher.search(q, use_wand=self.use_wand)
-            n = len(ids)
-            qids_out.extend([qid] * n)
-            ranks.extend(range(1, n + 1))
-            docs.extend(int(d) for d in ids)
-            scores.extend(float(s) for s in sc)
+        hits = [self.searcher.search(q, use_wand=self.use_wand) for q in queries]
+        counts = np.array([len(ids) for ids, _ in hits], np.int64)
+        docs = np.concatenate(
+            [np.asarray(ids, np.int64) for ids, _ in hits] + [np.empty(0, np.int64)])
+        scores = np.concatenate(
+            [np.asarray(sc, np.float64) for _, sc in hits] + [np.empty(0)])
+        first = np.repeat(np.cumsum(counts) - counts, counts)
         out = pa.table(
             {
-                "qid": pa.array(qids_out, pa.int64()),
-                "rank": pa.array(ranks, pa.int32()),
+                "qid": pa.array(np.repeat(batch["qid"].to_numpy(), counts), pa.int64()),
+                "rank": pa.array(np.arange(docs.size) - first + 1, pa.int32()),
                 "doc_id": pa.array(docs, pa.int64()),
                 "score": pa.array(scores, pa.float64()),
             }
@@ -67,8 +64,7 @@ class SearcherStage:
         if self.fetch_columns:
             # always append, even for a zero-hit batch — blocks must carry
             # one stable schema or downstream unification fails
-            meta = self.searcher.fetch(np.array(docs, np.int64),
-                                       self.fetch_columns)
+            meta = self.searcher.fetch(docs, self.fetch_columns)
             for c in self.fetch_columns:
                 if c != "doc_id":
                     out = out.append_column(c, meta[c])

@@ -113,6 +113,10 @@ def field_index(tmp_path_factory, ray_session):
              for _ in range(n)]
     titles = [" ".join(rng.choice(tvocab, size=rng.integers(1, 4)))
               if i % 7 else None for i in range(n)]
+    # keys only the first segment holds (main-field and title)
+    for i in (1, 2, 3):
+        texts[i] += " zebra"
+        titles[i] += " omega"
     d = tmp_path_factory.mktemp("fidx")
     src = str(d / "docs.parquet")
     pq.write_table(pa.table({
@@ -123,7 +127,7 @@ def field_index(tmp_path_factory, ray_session):
         "content": texts,
         "title": titles,
         "n_chars": pa.array([len(t) for t in texts], pa.int64()),
-    }), src)
+    }), src, row_group_size=60)  # one row group per partition: 4 segments
     idx = str(d / "idx")
     build_index_tasks(src, idx, analyzer="simple", docs_per_partition=60,
                       num_buckets=4, hot_terms=frozenset(),
@@ -172,6 +176,32 @@ def test_field_stats_cache_invalidated_on_global_stats(field_index):
     assert part._field_stats_cache == {}  # invalidated, rebuilt lazily
     assert part._field_stats("title")[2] == pytest.approx(
         glob._field_stats("title")[2])
+
+
+def test_actor_global_stats_equal_global_searcher(field_index):
+    """Every SearcherActor installs the whole index's df and ttf for every
+    dictionary key (field-qualified ones included), N, sum_doc_len and the
+    per-field token totals — also on a partition that lacks a key."""
+    from elasticsearch_ray.index.manifest import committed_segments, live_segments
+    from elasticsearch_ray.search.distributed import SearcherActor
+    from elasticsearch_ray.search.engine import IndexSearcher
+
+    glob = IndexSearcher(field_index)
+    segs = sorted(live_segments(committed_segments(field_index)))
+    assert len(segs) == 4
+    keys = sorted({str(k) for seg in glob.segments for k in seg.terms})
+    assert "title\x1fomega" in keys and "zebra" in keys
+    for i in range(3):  # DistributedSearcher's round-robin partitions
+        s = SearcherActor(field_index, segs[i::3], segs).searcher
+        assert (s.n_docs, s.sum_doc_len) == (glob.n_docs, glob.sum_doc_len)
+        assert s._field_stats("title")[2] == glob._field_stats("title")[2]
+        for k in keys:
+            tp = glob._get_term_key(k)
+            assert s._global_stats(k) == (tp.df, int(tp.tfs.sum())), k
+    lone = SearcherActor(field_index, [segs[1]], segs).searcher
+    for term, field in (("zebra", None), ("omega", "title")):
+        assert lone._get_term(term, field) is None
+        assert lone.global_df(term, field) == glob.global_df(term, field) == 3
 
 
 # ---------- 4. supplementary-plane prefix expansion ----------

@@ -416,3 +416,33 @@ def test_script_score_multi_statement(ray_session):
     ids1, sc1 = s._eval({"kind": "script_score", "query": base,
                          "script": "_score * 2.0"})
     assert np.allclose(sc1, sc0 * 2.0)
+
+
+def test_documents_index_cache_key_tracks_index_writer_source(tmp_path,
+                                                               monkeypatch):
+    """The cached documents index is keyed on the source of the modules that
+    write the index, so changed build or codec code cannot reuse an index
+    written by the old code."""
+    import os
+    import shutil
+
+    from elasticsearch_ray.pipelines import fulltext as ft
+
+    pkg = os.path.dirname(os.path.dirname(ft.__file__))
+    assert set(ft.INDEX_WRITERS) == {"codec.py", "stages/tokenize.py",
+                                     "stages/encode.py", "index/build.py"}
+    copies = []
+    for i, rel in enumerate(ft.INDEX_WRITERS):
+        copies.append(str(tmp_path / f"w{i}.py"))
+        shutil.copy(os.path.join(pkg, rel), copies[-1])
+    assert ft.source_digest(copies) == ft.index_writer_digest()
+    with open(copies[1], "a") as f:
+        f.write("\n# changed\n")
+    changed = ft.source_digest(copies)
+    assert changed != ft.index_writer_digest()
+
+    (tmp_path / "documents.parquet").write_bytes(b"")
+    tag = ft.documents_index_dir(str(tmp_path))
+    assert ft.documents_index_dir(str(tmp_path)) == tag
+    monkeypatch.setattr(ft, "index_writer_digest", lambda: changed)
+    assert ft.documents_index_dir(str(tmp_path)) != tag

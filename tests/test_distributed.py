@@ -70,6 +70,24 @@ def test_distributed_round2_kinds(index_dir):
             np.asarray(g_sc, np.float64), d_sc, rtol=1e-7, err_msg=str(q))
 
 
+def test_distributed_common_cutoff_uses_global_df(index_dir):
+    """common splits terms by df > cutoff_frequency × N: a partition must
+    compare the collection-wide df, not its local one, or a cutoff just
+    below a term's global df makes partitions treat it as low-frequency and
+    return docs the global searcher excludes."""
+    glob = IndexSearcher(index_dir)
+    dist = DistributedSearcher(index_dir, num_searchers=3)
+    for hi, lo in (("def", "scan"), ("return", "node")):
+        cutoff = (glob.global_df(hi) - 1) / glob.n_docs
+        q = {"kind": "common", "text": f"{lo} {hi}",
+             "cutoff_frequency": cutoff, "k": glob.n_docs}
+        g_ids, g_sc = glob.search(q)
+        d_ids, d_sc = dist.search(q)
+        assert list(g_ids) == list(d_ids), f"doc order mismatch: {q}"
+        np.testing.assert_allclose(
+            np.asarray(g_sc, np.float64), d_sc, rtol=1e-7, err_msg=str(q))
+
+
 def test_matched_queries_distributed(index_dir):
     """matched_queries annotates per partition; distributed == global."""
     glob = IndexSearcher(index_dir)
@@ -130,6 +148,49 @@ def test_searcher_actor_failover(index_dir):
     after_ids, after_sc = dist.search(q)
     assert list(before_ids) == list(after_ids)
     np.testing.assert_allclose(before_sc, after_sc, rtol=1e-12)
+
+
+def test_searcher_actor_killed_mid_stream(index_dir):
+    """Kill a searcher actor while a query stream is in flight: its pending
+    calls retry on the restarted actor, which rebuilds its partition and the
+    collection-wide stats in __init__ (no stats ride along with a query), so
+    every answer equals a clean run's."""
+    import threading
+    import time
+
+    import ray
+
+    stream = reference_queries() * 3
+    clean = DistributedSearcher(index_dir, num_searchers=3)
+    want = [clean.search(q) for q in stream]
+    for a in clean.actors:
+        ray.kill(a)
+
+    dist = DistributedSearcher(index_dir, num_searchers=3)
+    got: list = []
+    errors: list = []
+
+    def serve():
+        try:
+            for q in stream:
+                got.append(dist.search(q))
+        except Exception as e:  # surfaced by the assert below
+            errors.append(e)
+
+    t = threading.Thread(target=serve, daemon=True)
+    t.start()
+    deadline = time.monotonic() + 120
+    while len(got) < 5 and t.is_alive() and time.monotonic() < deadline:
+        time.sleep(0.001)
+    done_at_kill = len(got)
+    ray.kill(dist.actors[1], no_restart=False)
+    t.join(timeout=300)
+    assert not t.is_alive() and not errors, errors
+    assert 0 < done_at_kill < len(stream), done_at_kill
+    assert len(got) == len(stream)
+    for q, (g_ids, g_sc), (w_ids, w_sc) in zip(stream, got, want):
+        assert list(g_ids) == list(w_ids), q
+        np.testing.assert_array_equal(g_sc, w_sc, err_msg=str(q))
 
 
 def test_distributed_round3_kinds(index_dir):

@@ -63,6 +63,25 @@ def test_task_build_equals_dataset_build(corpus_dir, tmp_path):
         np.testing.assert_array_equal(ca, cb)
 
 
+def test_single_bucket_build_equals_multi_bucket(corpus_dir, tmp_path):
+    """num_buckets=1 (`cli build --num-buckets 1`) builds the same index as
+    an 8-bucket build: its tokenize task's single object must be the table."""
+    kw = dict(docs_per_partition=300, salt_chunks=4, hot_terms=frozenset(["def"]))
+    d1, d8 = str(tmp_path / "b1"), str(tmp_path / "b8")
+    s1 = build_index_tasks(corpus_dir, d1, num_buckets=1, **kw)
+    s8 = build_index_tasks(corpus_dir, d8, num_buckets=8, **kw)
+    assert (s1.doc_count, s1.sum_doc_len) == (s8.doc_count, s8.sum_doc_len)
+    a, b = IndexSearcher(d1), IndexSearcher(d8)
+    queries = [{"kind": "term", "term": "def", "k": 1000},
+               {"kind": "term", "term": "return", "k": 1000},
+               {"kind": "match_phrase", "text": "def return", "k": 1000}]
+    for q in queries + reference_queries():
+        ia, ca = a.search(q)
+        ib, cb = b.search(q)
+        assert list(ia) == list(ib), q
+        np.testing.assert_array_equal(ca, cb)
+
+
 def test_task_build_resume(corpus_dir, tmp_path):
     hot = frozenset(["def"])
     kw = dict(docs_per_partition=300, num_buckets=4, hot_terms=hot)

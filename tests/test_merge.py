@@ -81,6 +81,38 @@ def test_searcher_stage_dataset(dirs):
         np.testing.assert_allclose(got.score.to_numpy(), sc.astype(np.float64), rtol=1e-7)
 
 
+def test_searcher_stage_batch_rows_and_zero_hit_schema(dirs):
+    """One SearcherStage batch: per-query rows in rank order with the fetched
+    columns aligned; a zero-hit batch keeps the same schema."""
+    import json
+
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from elasticsearch_ray.search.stage import SearcherStage
+
+    _, index_dir = dirs
+    stage = SearcherStage(index_dir, fetch_columns=["path", "doc_id"])
+    qs = reference_queries()[:6]
+
+    def batch(queries):
+        return pa.table({"qid": pa.array([q["qid"] for q in queries], pa.int64()),
+                         "query": [json.dumps(q) for q in queries]})
+
+    out = stage(batch(qs))
+    empty = stage(batch([{"qid": 99, "kind": "term", "term": "zzznotaterm"}]))
+    assert len(empty) == 0 and empty.schema == out.schema
+    assert out.schema.names == ["qid", "rank", "doc_id", "score", "path"]
+    paths = stage.searcher.fetch(out["doc_id"].to_numpy(), ["path"])["path"]
+    assert out["path"].to_pylist() == paths.to_pylist()
+    for q in qs:
+        ids, sc = stage.searcher.search(q)
+        rows = out.filter(pc.equal(out["qid"], q["qid"]))
+        assert rows["rank"].to_pylist() == list(range(1, len(ids) + 1))
+        assert rows["doc_id"].to_pylist() == [int(i) for i in ids]
+        assert rows["score"].to_pylist() == [float(s) for s in sc]
+
+
 def test_snapshot_restore(dirs, tmp_path):
     """snapshot/restore analog (§2.1): the segment-dir layout IS the
     snapshot — copy the index directory wholesale, restored searcher is
