@@ -195,7 +195,10 @@ def main(argv=None) -> int:
                         "(documents table: lang,source,n_chars)")
     b.add_argument("--engine", choices=["tasks", "dataset"], default="tasks")
     b.add_argument("--docs-per-partition", type=int, default=250_000)
-    b.add_argument("--num-buckets", type=int, default=32)
+    b.add_argument("--num-buckets", type=int, default=32,
+                   help="most buckets per partition: the task build sizes "
+                        "each partition's exchange to the cluster's CPUs "
+                        "and the partition's docs, up to this many")
     b.add_argument("--no-positions", action="store_true")
     b.add_argument("--num-cpus", type=int, default=None)
     b.set_defaults(fn=cmd_build)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections.abc import Iterable
 
 import pyarrow as pa
 import pyarrow.dataset as pads
@@ -53,17 +54,26 @@ DEFAULT_DOCS_PER_PARTITION = 25_000
 
 
 def plan_partitions(
-    frags: list[Fragment], docs_per_partition: int
+    frags: list[Fragment],
+    docs_per_partition: int,
+    committed: Iterable[SegmentManifest] = (),
 ) -> list[tuple[str, list[Fragment]]]:
     """Group consecutive fragments into build partitions; the partition id is
-    derived from the doc_id range so it is stable across runs."""
+    derived from the doc_id range so it is stable across runs.
+
+    Fragments that a `committed` manifest lists are left out, and no
+    partition spans one, so a resumed build replans exactly the missing
+    partitions and a file appended after a part-full partition starts a
+    partition of its own instead of reusing the committed partition's id."""
+    listed = {f["offset"] for m in committed for f in m.fragments}
     parts: list[tuple[str, list[Fragment]]] = []
     cur: list[Fragment] = []
     n = 0
     for f in frags:
-        cur.append(f)
-        n += f.num_rows
-        if n >= docs_per_partition:
+        if f.offset not in listed:
+            cur.append(f)
+            n += f.num_rows
+        if cur and (f.offset in listed or n >= docs_per_partition):
             parts.append((f"seg_{cur[0].offset:012d}", cur))
             cur, n = [], 0
     if cur:
@@ -102,8 +112,8 @@ def build_index(
     os.makedirs(out_dir, exist_ok=True)
     clean_tmp(out_dir)
     frags = plan_fragments(input_path)
-    parts = plan_partitions(frags, docs_per_partition)
-    done = committed_segments(out_dir)
+    parts = plan_partitions(frags, docs_per_partition,
+                            committed_segments(out_dir).values())
 
     if hot_terms is None:
         hot_terms = sample_hot_terms(
@@ -114,8 +124,6 @@ def build_index(
     chunk_range = max(1, docs_per_partition // salt_chunks)
 
     for seg_id, seg_frags in parts:
-        if seg_id in done:
-            continue
         t0 = time.time()
         tmp = tmp_segment_dir(out_dir, seg_id)
         os.makedirs(tmp, exist_ok=True)

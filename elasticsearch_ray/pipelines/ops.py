@@ -15854,8 +15854,9 @@ def index_incremental_append(sf_dir: str):
     """Incremental index append via the manifest resume path (the
     translog/checkpoint analog: `build_index([A])` then
     `build_index([A, B])` into the SAME directory — committed segments
-    are skipped by id, only B's partitions build). The appended index
-    must be search-IDENTICAL to a from-scratch rebuild over A+B: global
+    are skipped by the fragments their manifests list, only B's partitions
+    build). The appended index must be search-IDENTICAL to a from-scratch
+    rebuild over A+B: global
     BM25 stats (N, df, avgdl) pool across segments at load, so scores
     cannot tell the histories apart. The op asserts that equality and
     returns the appended index's hits (`term: data`), which the oracle

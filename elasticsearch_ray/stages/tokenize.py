@@ -170,10 +170,18 @@ class TokenizeFragments:
             if hm.any():
                 hchunks = (doc_ids[g_doc[hm]] // cr).astype(np.int32)
                 chunk[hm] = hchunks
-                bucket[hm] = np.fromiter(
-                    (term_bucket(keys[c], int(ch), nb)
-                     for c, ch in zip(g_code[hm], hchunks)),
-                    np.int32, int(hm.sum()))
+                # one crc32 per distinct (term, chunk) pair, not per group;
+                # chunks are factorized first so the pair key cannot overflow
+                u_chunks, chunk_idx = np.unique(hchunks, return_inverse=True)
+                nc = len(u_chunks)
+                pairs, pair_idx = np.unique(
+                    g_code[hm].astype(np.int64) * nc + chunk_idx,
+                    return_inverse=True)
+                pair_buckets = np.fromiter(
+                    (term_bucket(keys[p // nc], int(u_chunks[p % nc]), nb)
+                     for p in pairs.tolist()),
+                    np.int32, len(pairs))
+                bucket[hm] = pair_buckets[pair_idx]
 
         term_col = _pc.take(pa.array(keys, pa.string()), pa.array(g_code))
         if self.index_positions:

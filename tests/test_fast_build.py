@@ -201,3 +201,94 @@ def test_build_with_null_content(tmp_path, ray_session):
     ids, _ = s._eval({"kind": "term", "term": "alpha"})
     assert sorted(ids.tolist()) == [0, 2]
     assert s.doc_lens[1] == 0
+
+
+def test_exchange_width_rule():
+    """A bucket never holds more docs than one bucket of a full `cli build`
+    default partition (250k docs over 32 buckets); small partitions get one
+    bucket per CPU; the width stays within [1, num_buckets]."""
+    from elasticsearch_ray.index.fast_build import exchange_width
+
+    assert exchange_width(32, 250_000, 1) == 32
+    assert exchange_width(32, 4_000, 1) == 1
+    assert exchange_width(32, 4_000, 32) == 32
+    for nb in (1, 2, 8, 32, 64):
+        for docs in (0, 1, 100, 7_812, 7_813, 100_000, 250_000, 10_000_000):
+            for cpus in (1, 4, 32, 256):
+                w = exchange_width(nb, docs, cpus)
+                assert 1 <= w <= nb
+                if nb == 32 and docs <= 250_000:
+                    assert docs / w <= 250_000 / 32
+
+
+@pytest.fixture(scope="module")
+def corpus_1500(tmp_path_factory):
+    d = str(tmp_path_factory.mktemp("corpus1500"))
+    write_corpus(d, 1500, rows_per_file=1000, row_group_size=100, use_ray=True)
+    return d
+
+
+def test_partition_width_follows_cluster(corpus_1500, tmp_path):
+    """One 1,500-doc partition on the 4-CPU test cluster uses 4 buckets, not
+    32: at most 4 postings files, the same postings as a one-bucket build,
+    and the width, tokenize task count and encode time in the build log."""
+    import glob
+    import json
+
+    kw = dict(docs_per_partition=250_000, hot_terms=frozenset(["def", "return"]))
+    d32, d1 = str(tmp_path / "b32"), str(tmp_path / "b1")
+    build_index_tasks(corpus_1500, d32, num_buckets=32, **kw)
+    build_index_tasks(corpus_1500, d1, num_buckets=1, **kw)
+    files = glob.glob(os.path.join(d32, "seg_*", "postings", "*.parquet"))
+    assert 1 <= len(files) <= 4
+    assert _postings_key_set(d32) == _postings_key_set(d1)
+
+    with open(os.path.join(d32, "build_log.jsonl")) as f:
+        (rec,) = [json.loads(line) for line in f]
+    assert rec["buckets"] == 4
+    assert rec["tokenize_tasks"] == 8  # 15 row groups, 2 per task
+    assert rec["encode_s"] > 0
+
+
+def test_append_after_part_full_partition(tmp_path):
+    """A file appended after a partition that was not full is built as its
+    own segment instead of being skipped as part of the committed one."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    src, idx = tmp_path / "src", str(tmp_path / "idx")
+    src.mkdir()
+    for fi, marker in enumerate(("fxone", "fxtwo")):
+        n = 100
+        pq.write_table(pa.table({
+            "repo": ["r"] * n, "path": [f"f{fi}_{j}.py" for j in range(n)],
+            "commit": ["c"] * n, "lang": ["python"] * n,
+            "content": [f"alpha beta {marker} n{j}" for j in range(n)]}),
+            str(src / f"part-{fi:05d}.parquet"))
+        st = build_index_tasks(str(src), idx, docs_per_partition=250_000)
+        assert st.doc_count == 100 * (fi + 1)
+        ids, _ = IndexSearcher(idx).search({"kind": "term", "term": marker, "k": 1000})
+        assert sorted(ids.tolist()) == list(range(100 * fi, 100 * (fi + 1)))
+    assert sorted(committed_segments(idx)) == ["seg_000000000000", "seg_000000000100"]
+
+
+def test_hot_term_salting_matches_scalar_formula(corpus_dir):
+    """The vectorized salting gives every triple the bucket and chunk of the
+    scalar term_bucket formula: hot terms keyed by (term, doc_id // range),
+    cold terms by term alone."""
+    from elasticsearch_ray.sources.reader import plan_fragments
+    from elasticsearch_ray.stages.tokenize import TokenizeFragments, term_bucket
+
+    hot = frozenset(["def", "return", "self", "int"])
+    nb, cr = 7, 30
+    tok = TokenizeFragments(analyzer="code", docmeta_dir=None, hot_terms=hot,
+                            num_buckets=nb, chunk_range=cr)
+    for f in plan_fragments(corpus_dir)[:3]:
+        batch = {k: np.array([v]) for k, v in f.to_dict().items()}
+        (t,) = tok(batch)
+        terms, docs = t["term"].to_pylist(), t["doc_id"].to_pylist()
+        want_chunk = [d // cr if term in hot else 0 for term, d in zip(terms, docs)]
+        assert t["chunk"].to_pylist() == want_chunk
+        assert t["bucket"].to_pylist() == [
+            term_bucket(term, ch, nb) for term, ch in zip(terms, want_chunk)]
+        assert len(set(want_chunk)) > 1
