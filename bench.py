@@ -59,7 +59,7 @@ def run_bench() -> dict:
 
     logging.getLogger("ray.data").setLevel(logging.ERROR)
 
-    from elasticsearch_ray.index.fast_build import build_index_tasks
+    from elasticsearch_ray.index.build import build_index
     from elasticsearch_ray.search.engine import IndexSearcher
     from elasticsearch_ray.sources.corpus import write_corpus
     from elasticsearch_ray.sources.queries import reference_queries
@@ -71,7 +71,7 @@ def run_bench() -> dict:
 
     @ray.remote
     def _warm():
-        import elasticsearch_ray.index.fast_build  # noqa: F401
+        import elasticsearch_ray.index.build  # noqa: F401
         return 0
 
     ray.get([_warm.remote() for _ in range(ncpu * 2)])
@@ -92,7 +92,7 @@ def run_bench() -> dict:
     for _ in range(2):
         shutil.rmtree(idx_dir, ignore_errors=True)
         t0 = time.time()
-        build_index_tasks(
+        build_index(
             corpus_dir, idx_dir,
             # constant partition size, NOT corpus-proportional: the round-3
             # size probe measured fixed 10k-doc partitions 13% faster than
@@ -186,8 +186,8 @@ def run_bench() -> dict:
         idx4 = f"/tmp/esray_bench/idx_{n4}_{ncpu}"
         shutil.rmtree(idx4, ignore_errors=True)
         t0 = time.time()
-        build_index_tasks(corpus4, idx4, docs_per_partition=10_000,
-                          num_buckets=16)
+        build_index(corpus4, idx4, docs_per_partition=10_000,
+                    num_buckets=16)
         timings["extra_index_build_400k"] = round(time.time() - t0, 3)
         s4 = IndexSearcher(idx4)
         for q in queries:

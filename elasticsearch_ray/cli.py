@@ -37,11 +37,9 @@ def _init_ray(num_cpus: int | None):
 def cmd_build(args) -> int:
     _init_ray(args.num_cpus)
     t0 = time.time()
-    if args.engine == "tasks":
-        from .index.fast_build import build_index_tasks as build
-    else:
-        from .index.build import build_index as build
-    stats = build(
+    from .index.build import build_index
+
+    stats = build_index(
         args.input, args.out,
         analyzer=args.analyzer,
         index_positions=not args.no_positions,
@@ -193,10 +191,9 @@ def main(argv=None) -> int:
     b.add_argument("--meta-columns", default="repo,path,commit,lang",
                    help="comma-separated stored metadata columns "
                         "(documents table: lang,source,n_chars)")
-    b.add_argument("--engine", choices=["tasks", "dataset"], default="tasks")
     b.add_argument("--docs-per-partition", type=int, default=250_000)
     b.add_argument("--num-buckets", type=int, default=32,
-                   help="most buckets per partition: the task build sizes "
+                   help="most buckets per partition: the build sizes "
                         "each partition's exchange to the cluster's CPUs "
                         "and the partition's docs, up to this many")
     b.add_argument("--no-positions", action="store_true")

@@ -1458,7 +1458,7 @@ def exact_dedup_tasks(path: str, text_col: str = "text",
     """Task-exchange twin of exact_dedup (same keep-min-id semantics,
     equivalence-tested): fragment-granular hash+combine tasks emit one
     champion table per hash bucket via num_returns — the same exchange
-    idiom as index/fast_build.py, avoiding the Dataset Sort operator's
+    idiom as index/build.py, avoiding the Dataset Sort operator's
     fixed all-to-all cost. Returns a ray.data.Dataset of the surviving
     rows. Scale shape: wire volume = per-fragment champions only; each
     bucket reduce is one task reading exactly its bucket's objects."""

@@ -10,13 +10,17 @@ scheduled like ElasticsearchConcurrentMergeScheduler but as Ray tasks.
 Merging is cheap relative to a rebuild because doc ranges of input segments
 are disjoint and ordered: each term's encoded rows simply concatenate in doc
 order and re-encode (no re-sort of postings, no re-tokenization). Hot-term
-salt chunks are preserved: rows merge per (term, chunk), so a merged segment
-keeps the same bounded-row-size guarantee the build produced.
+salt chunks are preserved: only doc-adjacent rows of the same (term, chunk)
+fuse, so a merged segment keeps the bounded row size the build produced, and
+rows of one term never overlap, even when the inputs were built with
+different hot-term sets.
 
-Per-doc norms needed for block-min-norm metadata are looked up from a
-broadcast dense norm array (`ray.put` once, read per task). At cluster scale
-the array slice is bounded by the merged segments' doc range — each merge
-group only needs its own range's norms.
+The re-encode runs on the build's exchange (build.py): one map task per input
+postings file splits its rows by `crc32(term) % w`, and w reduce tasks each
+merge one bucket's rows and write one postings file, with
+`w = exchange_width(32, group_docs, CPUs)`. Per-doc norms needed for
+block-min-norm metadata come from a dense norm array over the group's doc
+range, put in the object store once and read by every reduce task.
 
 Output is a new committed segment whose manifest records `merged_from`;
 inputs stay on disk until `gc_merged` removes superseded segments
@@ -28,13 +32,19 @@ from __future__ import annotations
 import os
 import shutil
 import time
+import zlib
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.dataset as pads
+import pyarrow.parquet as pq
 
 from ..codec import varbyte_decode
 from ..smallfloat import DECODE_TABLE
+from ..sources.reader import list_parquet_files
+from ..stages.encode import POSTINGS_SCHEMA, encode_bucket
+from .build import exchange_width, remote, split_by_bucket, submit_map
 from .manifest import (
     SegmentManifest,
     commit_segment,
@@ -45,11 +55,20 @@ from .manifest import (
 
 SEGMENTS_PER_TIER = 10  # MergePolicyConfig.java:150 (segments_per_tier default)
 MAX_MERGE_AT_ONCE = 10  # MergePolicyConfig.java:123 (max_merge_at_once default)
+MERGE_BUCKETS = 32  # most buckets in one merge's exchange (see exchange_width)
 
 
 def _merge_rows_table(table: pa.Table, norm_bytes: np.ndarray,
                       base: int = 0) -> pa.Table:
-    """Re-encode the union of postings rows: concat per (term, chunk).
+    """Re-encode the union of postings rows: per term, in doc order, fuse
+    each run of doc-adjacent rows with the same chunk into one row.
+
+    Rows of different chunks are never fused, and neither are two rows of
+    the same chunk with another row of the term between them: a segment
+    built without `tree` as a hot term stores it as one chunk-0 row over its
+    whole doc range, and fusing that with another segment's chunk-0 row
+    would overlap the chunk-1..k rows in between. Repeated (term, chunk)
+    keys are fine, since the reader orders a term's rows by first doc.
 
     Vectorized end to end by reusing the build path's bulk encoder
     (stages/encode.py:encode_bucket): single-source rows pass through
@@ -58,21 +77,16 @@ def _merge_rows_table(table: pa.Table, norm_bytes: np.ndarray,
     are contiguous, and varbyte streams concatenate value-exactly), turned
     back into (term, chunk, doc_id, tf, positions) triples, and re-encoded in
     one encode_bucket call. No per-row Python dict work."""
-    import pyarrow.compute as pc
-
-    from ..stages.encode import POSTINGS_SCHEMA
-
     if len(table) == 0:
         return POSTINGS_SCHEMA.empty_table()
-    # sort by (term, chunk, first-doc) — doc ranges of input segments are
-    # disjoint, and skip_last_doc[-1] is each row's LAST doc id, which orders
-    # rows identically to first-doc for disjoint ranges
+    # sort by (term, first doc) — doc ranges of a term's rows are disjoint,
+    # and skip_last_doc[-1] is each row's LAST doc id, which orders rows
+    # identically to first-doc for disjoint ranges
     last_doc = np.array([v[-1] for v in table["skip_last_doc"].to_pylist()],
                         dtype=np.int64)
     table = table.append_column("_last_doc", pa.array(last_doc))
     order = pc.sort_indices(
-        table, sort_keys=[("term", "ascending"), ("chunk", "ascending"),
-                          ("_last_doc", "ascending")]
+        table, sort_keys=[("term", "ascending"), ("_last_doc", "ascending")]
     )
     t = table.take(order).drop_columns(["_last_doc"]).combine_chunks()
     terms = np.asarray(t["term"])
@@ -90,11 +104,12 @@ def _merge_rows_table(table: pa.Table, norm_bytes: np.ndarray,
     passthrough = t.select(POSTINGS_SCHEMA.names).take(pa.array(single)) \
         if single.size else POSTINGS_SCHEMA.empty_table()
 
-    multi_starts = starts[group_lens > 1]
+    multi = group_lens > 1
+    multi_starts = starts[multi]
     if multi_starts.size == 0:
         return passthrough.cast(POSTINGS_SCHEMA)
     multi_rows = np.concatenate([
-        np.arange(s, e) for s, e in zip(multi_starts, ends[group_lens > 1])
+        np.arange(s, e) for s, e in zip(multi_starts, ends[multi])
     ])
     m = t.take(pa.array(multi_rows)).combine_chunks()
     dfs = m["df"].to_numpy().astype(np.int64)
@@ -127,10 +142,14 @@ def _merge_rows_table(table: pa.Table, norm_bytes: np.ndarray,
             ptot = ptot - np.repeat(pcorr, tfs_flat)
         pos_flat_abs = ptot
 
+    # encode_bucket groups by (term, chunk), so it is keyed by the fused
+    # group's index, which ascends in (term, doc) order like its output rows;
+    # the real chunk is put back afterwards
+    group_of_row = np.repeat(np.arange(multi_starts.size), group_lens[multi])
     rep = np.repeat(np.arange(len(m)), dfs)
     triples = {
         "term": pc.take(m["term"], pa.array(rep)),
-        "chunk": pc.take(m["chunk"], pa.array(rep)),
+        "chunk": pa.array(group_of_row[rep].astype(np.int32)),
         "doc_id": pa.array(doc_ids),
         "tf": pa.array(tfs_flat.astype(np.int32)),
         "norm_len": pa.array(
@@ -141,10 +160,38 @@ def _merge_rows_table(table: pa.Table, norm_bytes: np.ndarray,
         np.cumsum(tfs_flat, out=offsets[1:])
         triples["positions"] = pa.ListArray.from_arrays(
             pa.array(offsets, pa.int32()), pa.array(pos_flat_abs.astype(np.int32)))
-    from ..stages.encode import encode_bucket
-
     merged = encode_bucket(pa.table(triples))
+    merged = merged.set_column(
+        merged.schema.get_field_index("chunk"), "chunk",
+        pa.array(chunks[multi_starts], pa.int32()))
     return pa.concat_tables([passthrough.cast(POSTINGS_SCHEMA), merged])
+
+
+def _split_postings_file(path: str, w: int):
+    """Map task: one postings file's rows split by crc32(term) % w, hashing
+    each distinct term once."""
+    t = pq.read_table(path)
+    if w == 1:
+        return t
+    terms = pc.dictionary_encode(t["term"]).combine_chunks()
+    term_bucket = np.fromiter(
+        (zlib.crc32(s.encode()) % w for s in terms.dictionary.to_pylist()),
+        np.int32, len(terms.dictionary))
+    return split_by_bucket(t, term_bucket[terms.indices.to_numpy()], w)
+
+
+def _merge_bucket_task(out_path: str, norm_bytes: np.ndarray, base: int,
+                       *tables: pa.Table) -> int:
+    """Reduce task: merge one bucket's postings rows and write its file.
+    Returns the bucket's distinct term count; buckets split by term, so the
+    counts add up to the segment's."""
+    tables = [t for t in tables if len(t)]
+    if not tables:
+        return 0
+    merged = _merge_rows_table(pa.concat_tables(tables), norm_bytes, base)
+    pq.write_table(merged, out_path + ".tmp", row_group_size=4096)
+    os.replace(out_path + ".tmp", out_path)
+    return pc.count_distinct(merged["term"]).as_py()
 
 
 def merge_segments(
@@ -152,7 +199,6 @@ def merge_segments(
     segment_ids: list[str] | None = None,
     *,
     max_merge_at_once: int = MAX_MERGE_AT_ONCE,
-    num_buckets: int | None = None,
     max_merged_docs: int | None = None,
 ) -> str | None:
     """Merge a group of live segments into one; returns new segment id.
@@ -160,14 +206,6 @@ def merge_segments(
     candidate windows whose combined doc_count exceeds it are skipped
     (narrower windows are then considered)."""
     import ray
-    import ray.data as rd
-
-    if num_buckets is None:
-        # the re-encode is CPU-bound per bucket group: at the old fixed 16
-        # buckets a 10x10k-doc merge ran 40.6 s on 32 CPUs (16-way parallel
-        # ceiling); 2 buckets/CPU cut it to 11.6 s. Buckets only shape
-        # parallelism — postings are re-grouped by term inside each bucket.
-        num_buckets = max(16, int(ray.cluster_resources().get("CPU", 8)) * 2)
 
     segs = live_segments(committed_segments(index_dir))
     by_range = sorted(segs.items(), key=lambda kv: kv[1].doc_id_min)
@@ -244,42 +282,29 @@ def merge_segments(
             mt["norm_byte"].to_numpy().astype(np.uint8)
     norm_ref = ray.put(norm_bytes)
 
-    from ..sources.reader import list_parquet_files
-
-    posting_files = [
-        f
-        for sid in segment_ids
-        for f in list_parquet_files(os.path.join(index_dir, sid, "postings"))
-    ]
-    ds = rd.read_parquet(posting_files)
-
-    def add_bucket(t: pa.Table) -> pa.Table:
-        import zlib
-
-        b = np.array(
-            [zlib.crc32(s.encode()) % num_buckets for s in np.asarray(t["term"])],
-            dtype=np.int32,
-        )
-        return t.append_column("bucket", pa.array(b))
-
-    def merge_bucket(t: pa.Table) -> pa.Table:
-        nb = ray.get(norm_ref)
-        return _merge_rows_table(t.drop_columns(["bucket"]), nb, base=lo)
-
-    merged = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(merge_bucket, batch_format="pyarrow")
-    )
-    merged.write_parquet(os.path.join(tmp, "postings"))
+    docs = sum(m.doc_count for m in group.values())
+    w = exchange_width(MERGE_BUCKETS, docs,
+                       int(ray.cluster_resources().get("CPU", 8)))
+    per_bucket: list[list] = [[] for _ in range(w)]
+    for sid in segment_ids:
+        for f in list_parquet_files(os.path.join(index_dir, sid, "postings")):
+            for b, r in enumerate(submit_map(_split_postings_file, w, f)):
+                per_bucket[b].append(r)
+    os.makedirs(os.path.join(tmp, "postings"), exist_ok=True)
+    term_counts = ray.get([
+        remote(_merge_bucket_task).remote(
+            os.path.join(tmp, "postings", f"bucket-{b:05d}.parquet"),
+            norm_ref, lo, *per_bucket[b])
+        for b in range(w)
+    ])
 
     frag_union = [f for sid in segment_ids for f in group[sid].fragments]
     manifest = SegmentManifest(
         segment_id=new_id,
         fragments=frag_union,
-        doc_count=sum(m.doc_count for m in group.values()),
+        doc_count=docs,
         sum_doc_len=sum(m.sum_doc_len for m in group.values()),
-        term_count=0,  # filled below
+        term_count=sum(term_counts),
         doc_id_min=lo,
         doc_id_max=max_doc,
         analyzer=next(iter(group.values())).analyzer,
@@ -288,10 +313,6 @@ def merge_segments(
         generation=gen,
         merged_from=sorted(segment_ids),
     )
-    import pyarrow.compute as pc
-
-    pt = pads.dataset(os.path.join(tmp, "postings")).to_table(columns=["term"])
-    manifest.term_count = pc.count_distinct(pt["term"]).as_py() if len(pt) else 0
     commit_segment(index_dir, new_id, manifest)
     return new_id
 

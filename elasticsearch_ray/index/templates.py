@@ -85,7 +85,7 @@ def load_templates(path: str) -> int:
 
 
 def create_index(input_path: str, out_dir: str, index_name: str,
-                 engine: str = "tasks", **explicit: Any):
+                 **explicit: Any):
     """Create (build) an index under template-resolved settings — the
     MetadataCreateIndexService analog wired to the build pipelines. Returns
     (stats, applied_settings); the applied settings are recorded in the
@@ -97,18 +97,16 @@ def create_index(input_path: str, out_dir: str, index_name: str,
                          "salt_chunks", "content_column", "meta_columns",
                          "extra_content_columns")}
     if "hot_terms" in build_kw and build_kw["hot_terms"] is not None:
-        # JSON persistence round-trips sets as lists; both build engines
-        # need a hashable frozenset
+        # JSON persistence round-trips sets as lists; the build needs a
+        # hashable frozenset
         build_kw["hot_terms"] = frozenset(build_kw["hot_terms"])
     for k in ("meta_columns", "extra_content_columns"):
         if k in build_kw and build_kw[k] is not None:
             build_kw[k] = tuple(tuple(c) if isinstance(c, list) else c
                                 for c in build_kw[k])
-    if engine == "tasks":
-        from .fast_build import build_index_tasks as build
-    else:
-        from .build import build_index as build
-    stats = build(input_path, out_dir, **build_kw)
+    from .build import build_index
+
+    stats = build_index(input_path, out_dir, **build_kw)
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "settings.json"), "w") as f:
         json.dump({"index": index_name, "settings": settings}, f, indent=1,

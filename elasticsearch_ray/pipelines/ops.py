@@ -2985,7 +2985,7 @@ def lang_stemmed_index_search(sf_dir: str):
 
     import ray.data as rd
 
-    from ..index.fast_build import build_index_tasks
+    from ..index.build import build_index
     from ..search.engine import IndexSearcher
 
     base = "/tmp/esray_cache/lang_idx"
@@ -3011,9 +3011,9 @@ def lang_stemmed_index_search(sf_dir: str):
       batch_format="pyarrow")
      .write_parquet(src_dir))
     idx = os.path.join(base, "idx")
-    build_index_tasks(src_dir, idx, analyzer="simple", num_buckets=4,
-                      hot_terms=frozenset(),
-                      extra_content_columns=(("body_de", "body_de", "german"),))
+    build_index(src_dir, idx, analyzer="simple", num_buckets=4,
+                hot_terms=frozenset(),
+                extra_content_columns=(("body_de", "body_de", "german"),))
     s = IndexSearcher(idx, field_analyzers={"body_de": "german"})
     rows = []
     for q in ("Häusern", "spielte", "Gartens", "Buch"):

@@ -76,7 +76,14 @@ class TermPostings:
                 i += 1
             return v - 1
 
-        rows = sorted(rows, key=first_doc)
+        keyed = sorted(((first_doc(r), r) for r in rows), key=lambda fr: fr[0])
+        rows = [r for _, r in keyed]
+        for (_, prev), (first, _) in zip(keyed, keyed[1:]):
+            if first <= prev["skip_last_doc"][-1]:
+                raise ValueError(
+                    f"postings rows of term {term!r} overlap: a row starting "
+                    f"at doc {first} begins at or before the previous row's "
+                    f"last doc {prev['skip_last_doc'][-1]}")
         self.term = term
         self.rows = rows
         self.df = int(sum(r["df"] for r in rows))

@@ -1,6 +1,6 @@
 """Posting-list encode stage: one shuffle bucket of triples -> encoded rows.
 
-Consumes the groupby("bucket") shuffle output (the reference analog: Lucene's
+Consumes one bucket of the build's term shuffle (the reference analog: Lucene's
 per-segment hash->postings build inside IndexWriter, engaged at
 index/engine/InternalEngine.java:1167).
 

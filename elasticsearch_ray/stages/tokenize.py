@@ -6,10 +6,10 @@ segment build (index/mapper/DocumentParser.java:60, engaged at
 index/engine/InternalEngine.java:1167): analyze each document's content field,
 aggregate term frequencies + positions per (term, doc).
 
-Runs as an actor-pool `map_batches` stage over the fragment-descriptor
-dataset: the analyzer (compiled regexes, stop set) and the broadcast hot-term
-set are bound once per actor in __init__, each __call__ processes one fragment
-(batch_size=1 over fragment rows).
+Runs inside the build's tokenize tasks (index/build.py:_tokenize_group): the
+analyzer (compiled regexes, stop set) and the broadcast hot-term set are bound
+once per task in __init__, each __call__ processes one batch of fragment
+descriptors.
 
 Docmeta (doc_id, repo, path, commit, lang, sha256, doc_len, norm_byte) is
 side-written to `<seg_tmp>/docmeta/frag-<offset>.parquet` from inside the
@@ -60,7 +60,7 @@ def term_bucket(term: str, chunk: int, num_buckets: int) -> int:
 
 
 class TokenizeFragments:
-    """Actor-pool stage: fragment descriptors in, posting triples out."""
+    """Tokenize stage: fragment descriptors in, posting triples out."""
 
     def __init__(
         self,
@@ -97,7 +97,6 @@ class TokenizeFragments:
             else:
                 fname, col, an_name = entry
                 self._extra_fields.append((fname, col, get_analyzer(an_name)))
-        self._bucket_cache: dict[str, int] = {}
 
     def __call__(self, batch: dict):
         for i in range(len(batch["path"])):
@@ -118,11 +117,6 @@ class TokenizeFragments:
         import pyarrow.compute as _pc
 
         nb, cr, hot = self.num_buckets, self.chunk_range, self.hot_terms
-        bcache = self._bucket_cache
-        if len(bcache) > 2_000_000:
-            # bound worker-lifetime memory: the cache is a pure speedup,
-            # dropping it costs one crc32 per re-seen term
-            bcache.clear()
         # token_streams: per-doc (terms, positions) parallel lists
         # (Analyzer.positions_split) — flattened with C-speed list.extend,
         # no per-token Python iteration or tuple unpacking
@@ -155,12 +149,8 @@ class TokenizeFragments:
         g_code = c_s[starts]
 
         keys = [key_prefix + str(u) for u in uniques]
-        cold_buckets = np.empty(len(keys), np.int32)
-        for i, k in enumerate(keys):
-            b = bcache.get(k)
-            if b is None:
-                b = bcache[k] = term_bucket(k, 0, nb)
-            cold_buckets[i] = b
+        cold_buckets = np.fromiter((term_bucket(k, 0, nb) for k in keys),
+                                   np.int32, len(keys))
         bucket = cold_buckets[g_code]
         chunk = np.zeros(g_code.size, dtype=np.int32)
         if salt_hot and hot:
@@ -281,33 +271,6 @@ class TokenizeFragments:
         if not parts:
             return TRIPLES_SCHEMA.empty_table()
         return pa.concat_tables(parts) if len(parts) > 1 else parts[0]
-
-
-_TOKENIZER_CACHE: dict[tuple, "TokenizeFragments"] = {}
-
-
-def make_tokenizer_fn(**kwargs):
-    """Plain-task variant of the tokenize stage: per-worker-process cached
-    TokenizeFragments instance (module-level global), so stateless Ray tasks
-    get the same amortized setup as an actor pool without pool spin-up cost.
-    Correct because the tokenizer state is deterministic pure config."""
-    key = (
-        kwargs["analyzer"], kwargs.get("docmeta_dir"), kwargs["num_buckets"],
-        kwargs["chunk_range"], kwargs.get("index_positions", True),
-        kwargs.get("content_column", "content"), tuple(kwargs.get("meta_columns", ())),
-        tuple(kwargs.get("extra_content_columns", ())),
-        hash(kwargs["hot_terms"]),
-    )
-
-    def fn(batch):
-        tok = _TOKENIZER_CACHE.get(key)
-        if tok is None:
-            if len(_TOKENIZER_CACHE) > 4:
-                _TOKENIZER_CACHE.clear()
-            tok = _TOKENIZER_CACHE[key] = TokenizeFragments(**kwargs)
-        yield from tok(batch)
-
-    return fn
 
 
 def sample_hot_terms(

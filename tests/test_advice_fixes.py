@@ -103,7 +103,7 @@ def searcher_tiny(field_index):
 @pytest.fixture(scope="module")
 def field_index(tmp_path_factory, ray_session):
     """Multi-segment index with an extra `title` field (per-field postings)."""
-    from elasticsearch_ray.index.fast_build import build_index_tasks
+    from elasticsearch_ray.index.build import build_index
 
     rng = np.random.default_rng(7)
     vocab = ["quick", "brown", "fox", "lazy", "dog", "tree", "node", "graph"]
@@ -129,9 +129,9 @@ def field_index(tmp_path_factory, ray_session):
         "n_chars": pa.array([len(t) for t in texts], pa.int64()),
     }), src, row_group_size=60)  # one row group per partition: 4 segments
     idx = str(d / "idx")
-    build_index_tasks(src, idx, analyzer="simple", docs_per_partition=60,
-                      num_buckets=4, hot_terms=frozenset(),
-                      extra_content_columns=("title",))
+    build_index(src, idx, analyzer="simple", docs_per_partition=60,
+                num_buckets=4, hot_terms=frozenset(),
+                extra_content_columns=("title",))
     return idx
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from elasticsearch_ray.index.fast_build import build_index_tasks
+from elasticsearch_ray.index.build import build_index
 from elasticsearch_ray.search.distributed import DistributedSearcher
 from elasticsearch_ray.search.engine import IndexSearcher
 from elasticsearch_ray.sources.corpus import write_corpus
@@ -18,7 +18,7 @@ def index_dir(tmp_path_factory, ray_session):
     c = str(tmp_path_factory.mktemp("corpus"))
     write_corpus(c, 1200, rows_per_file=1000, row_group_size=100, use_ray=True)
     d = str(tmp_path_factory.mktemp("index"))
-    build_index_tasks(c, d, docs_per_partition=300, num_buckets=8, salt_chunks=4)
+    build_index(c, d, docs_per_partition=300, num_buckets=8, salt_chunks=4)
     return d
 
 

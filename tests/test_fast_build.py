@@ -1,5 +1,5 @@
-"""The task-shuffle build path must produce logically identical segments to
-the Dataset-groupby path (same tokenize/encode kernels, different exchange)."""
+"""The build: exact postings against a per-doc oracle, width and bucket
+invariance, resume after a crash, appends and salting."""
 
 from __future__ import annotations
 
@@ -9,8 +9,9 @@ import numpy as np
 import pyarrow.dataset as pads
 import pytest
 
+from elasticsearch_ray.analyzer import get_analyzer
+from elasticsearch_ray.codec import varbyte_decode
 from elasticsearch_ray.index.build import build_index
-from elasticsearch_ray.index.fast_build import build_index_tasks
 from elasticsearch_ray.index.manifest import committed_segments
 from elasticsearch_ray.search.engine import IndexSearcher
 from elasticsearch_ray.sources.corpus import write_corpus
@@ -35,32 +36,59 @@ def _postings_key_set(index_dir):
     return out
 
 
-def test_task_build_equals_dataset_build(corpus_dir, tmp_path):
+def _decode_row(r):
+    """One postings row -> [(doc_id, tf, positions), ...]."""
+    docs = np.cumsum(varbyte_decode(r["doc_bytes"], r["df"]).astype(np.int64)) - 1
+    tfs = varbyte_decode(r["tf_bytes"], r["df"]).astype(np.int64)
+    pos = varbyte_decode(r["pos_bytes"], r["sum_tf"]).astype(np.int64)
+    out, at = [], 0
+    for d, tf in zip(docs.tolist(), tfs.tolist()):
+        out.append((d, tf, np.cumsum(pos[at:at + tf]).tolist()))
+        at += tf
+    return out
+
+
+def test_build_postings_equal_per_doc_oracle(corpus_dir, tmp_path):
+    """Every postings row decodes to exactly the (doc, tf, positions) the
+    code analyzer gives each source doc: hot terms are split into
+    doc_id // chunk_range chunks, cold terms keep chunk 0, each segment
+    holds its own doc range, and the row stats match its postings."""
     hot = frozenset(["def", "return", "int", "get"])
-    kw = dict(docs_per_partition=300, num_buckets=8, salt_chunks=4, hot_terms=hot)
-    d1, d2 = str(tmp_path / "ds"), str(tmp_path / "tasks")
-    build_index(corpus_dir, d1, **kw)
-    build_index_tasks(corpus_dir, d2, **kw)
+    dpp, salt = 300, 4
+    d = str(tmp_path / "idx")
+    build_index(corpus_dir, d, docs_per_partition=dpp, num_buckets=8,
+                salt_chunks=salt, hot_terms=hot)
 
-    a, b = _postings_key_set(d1), _postings_key_set(d2)
-    assert list(a) == list(b)
-    for sid in a:
-        assert a[sid] == b[sid], f"postings differ in {sid}"
+    an = get_analyzer("code")
+    texts = pads.dataset(corpus_dir).to_table(columns=["content"])["content"].to_pylist()
+    want: dict[tuple, dict] = {}
+    for doc, text in enumerate(texts):
+        per_term: dict[str, list[int]] = {}
+        for term, p in zip(*an.positions_split(text)):
+            per_term.setdefault(term, []).append(p)
+        for term, ps in per_term.items():
+            chunk = doc // (dpp // salt) if term in hot else 0
+            want.setdefault((f"seg_{doc // dpp * dpp:012d}", term, chunk), {})[doc] = \
+                (doc, len(ps), ps)
 
-    ma, mb = committed_segments(d1), committed_segments(d2)
-    for sid in ma:
-        assert ma[sid].doc_count == mb[sid].doc_count
-        assert ma[sid].sum_doc_len == mb[sid].sum_doc_len
-        assert ma[sid].term_count == mb[sid].term_count
-        assert ma[sid].doc_id_min == mb[sid].doc_id_min
-        assert ma[sid].doc_id_max == mb[sid].doc_id_max
-
-    sa, sb = IndexSearcher(d1), IndexSearcher(d2)
-    for q in reference_queries()[:12]:
-        ia, ca = sa.search(q)
-        ib, cb = sb.search(q)
-        assert list(ia) == list(ib)
-        np.testing.assert_array_equal(ca, cb)
+    got: dict[tuple, dict] = {}
+    segs = committed_segments(d)
+    assert len(segs) == 3  # 800 docs / 300
+    for sid, m in segs.items():
+        rows = pads.dataset(os.path.join(d, sid, "postings")).to_table().to_pylist()
+        for r in rows:
+            key = (sid, r["term"], r["chunk"])
+            assert key not in got, f"duplicate postings row {key}"
+            entries = _decode_row(r)
+            assert r["df"] == len(entries)
+            assert r["sum_tf"] == sum(tf for _, tf, _ in entries)
+            assert r["skip_last_doc"][-1] == entries[-1][0]
+            assert all(m.doc_id_min <= e[0] <= m.doc_id_max for e in entries)
+            got[key] = {e[0]: e for e in entries}
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key] == want[key], key
+    assert {k[2] for k in got if k[1] == "def"} == set(range(800 // (dpp // salt) + 1))
 
 
 def test_single_bucket_build_equals_multi_bucket(corpus_dir, tmp_path):
@@ -68,8 +96,8 @@ def test_single_bucket_build_equals_multi_bucket(corpus_dir, tmp_path):
     an 8-bucket build: its tokenize task's single object must be the table."""
     kw = dict(docs_per_partition=300, salt_chunks=4, hot_terms=frozenset(["def"]))
     d1, d8 = str(tmp_path / "b1"), str(tmp_path / "b8")
-    s1 = build_index_tasks(corpus_dir, d1, num_buckets=1, **kw)
-    s8 = build_index_tasks(corpus_dir, d8, num_buckets=8, **kw)
+    s1 = build_index(corpus_dir, d1, num_buckets=1, **kw)
+    s8 = build_index(corpus_dir, d8, num_buckets=8, **kw)
     assert (s1.doc_count, s1.sum_doc_len) == (s8.doc_count, s8.sum_doc_len)
     a, b = IndexSearcher(d1), IndexSearcher(d8)
     queries = [{"kind": "term", "term": "def", "k": 1000},
@@ -86,7 +114,7 @@ def test_task_build_resume(corpus_dir, tmp_path):
     hot = frozenset(["def"])
     kw = dict(docs_per_partition=300, num_buckets=4, hot_terms=hot)
     d = str(tmp_path / "resume")
-    build_index_tasks(corpus_dir, d, **kw)
+    build_index(corpus_dir, d, **kw)
     segs = committed_segments(d)
     assert len(segs) == 3  # 800 docs / 300
     # drop one segment, rebuild -> only that one is rebuilt, results identical
@@ -95,7 +123,7 @@ def test_task_build_resume(corpus_dir, tmp_path):
     victim = list(segs)[1]
     before = _postings_key_set(d)
     shutil.rmtree(os.path.join(d, victim))
-    build_index_tasks(corpus_dir, d, **kw)
+    build_index(corpus_dir, d, **kw)
     after = _postings_key_set(d)
     assert before == after
 
@@ -106,7 +134,7 @@ def test_build_without_positions(corpus_dir, tmp_path):
     import os
 
     d = str(tmp_path / "nopos")
-    build_index_tasks(corpus_dir, d, docs_per_partition=400, num_buckets=4,
+    build_index(corpus_dir, d, docs_per_partition=400, num_buckets=4,
                       index_positions=False, hot_terms=frozenset(["def"]))
     s = IndexSearcher(d)
     ids, sc = s.search({"kind": "match", "text": "def return", "k": 5})
@@ -121,7 +149,7 @@ def test_build_without_positions(corpus_dir, tmp_path):
                    glob.glob(os.path.join(idx, "seg_*", "postings", "*.parquet")))
 
     d2 = str(tmp_path / "withpos")
-    build_index_tasks(corpus_dir, d2, docs_per_partition=400, num_buckets=4,
+    build_index(corpus_dir, d2, docs_per_partition=400, num_buckets=4,
                       index_positions=True, hot_terms=frozenset(["def"]))
     assert psize(d) < psize(d2)
 
@@ -134,18 +162,18 @@ def test_fuzz_random_killpoint_resume(corpus_dir, tmp_path, ray_session):
     tests to arbitrary failure states."""
     import shutil
 
-    import elasticsearch_ray.index.fast_build as FB
+    import elasticsearch_ray.index.build as B
 
     hot = frozenset(["def"])
     kw = dict(docs_per_partition=200, num_buckets=4, hot_terms=hot)
     clean = str(tmp_path / "clean")
-    build_index_tasks(corpus_dir, clean, **kw)
+    build_index(corpus_dir, clean, **kw)
     want = _postings_key_set(clean)
     n_parts = len(committed_segments(clean))
     assert n_parts == 4  # 800 docs / 200
 
     rng = np.random.default_rng(29)
-    orig = FB.commit_segment
+    orig = B.commit_segment
     for trial in range(3):
         kill_at = int(rng.integers(1, n_parts))  # after k-th commit
         d = str(tmp_path / f"fuzz{trial}")
@@ -162,18 +190,18 @@ def test_fuzz_random_killpoint_resume(corpus_dir, tmp_path, ray_session):
                 raise Boom()
             return res
 
-        FB.commit_segment = bomb
+        B.commit_segment = bomb
         try:
             with pytest.raises(Boom):
-                build_index_tasks(corpus_dir, d, **kw)
+                build_index(corpus_dir, d, **kw)
         finally:
-            FB.commit_segment = orig
+            B.commit_segment = orig
         done = list(committed_segments(d))
         assert len(done) >= kill_at  # commits up to the kill survived
         # corrupt further: drop a random committed segment (if any)
         if done and rng.random() < 0.7:
             shutil.rmtree(os.path.join(d, str(rng.choice(done))))
-        build_index_tasks(corpus_dir, d, **kw)  # resume
+        build_index(corpus_dir, d, **kw)  # resume
         assert _postings_key_set(d) == want, f"trial {trial} kill_at={kill_at}"
 
 
@@ -207,7 +235,7 @@ def test_exchange_width_rule():
     """A bucket never holds more docs than one bucket of a full `cli build`
     default partition (250k docs over 32 buckets); small partitions get one
     bucket per CPU; the width stays within [1, num_buckets]."""
-    from elasticsearch_ray.index.fast_build import exchange_width
+    from elasticsearch_ray.index.build import exchange_width
 
     assert exchange_width(32, 250_000, 1) == 32
     assert exchange_width(32, 4_000, 1) == 1
@@ -237,8 +265,8 @@ def test_partition_width_follows_cluster(corpus_1500, tmp_path):
 
     kw = dict(docs_per_partition=250_000, hot_terms=frozenset(["def", "return"]))
     d32, d1 = str(tmp_path / "b32"), str(tmp_path / "b1")
-    build_index_tasks(corpus_1500, d32, num_buckets=32, **kw)
-    build_index_tasks(corpus_1500, d1, num_buckets=1, **kw)
+    build_index(corpus_1500, d32, num_buckets=32, **kw)
+    build_index(corpus_1500, d1, num_buckets=1, **kw)
     files = glob.glob(os.path.join(d32, "seg_*", "postings", "*.parquet"))
     assert 1 <= len(files) <= 4
     assert _postings_key_set(d32) == _postings_key_set(d1)
@@ -265,7 +293,7 @@ def test_append_after_part_full_partition(tmp_path):
             "commit": ["c"] * n, "lang": ["python"] * n,
             "content": [f"alpha beta {marker} n{j}" for j in range(n)]}),
             str(src / f"part-{fi:05d}.parquet"))
-        st = build_index_tasks(str(src), idx, docs_per_partition=250_000)
+        st = build_index(str(src), idx, docs_per_partition=250_000)
         assert st.doc_count == 100 * (fi + 1)
         ids, _ = IndexSearcher(idx).search({"kind": "term", "term": marker, "k": 1000})
         assert sorted(ids.tolist()) == list(range(100 * fi, 100 * (fi + 1)))

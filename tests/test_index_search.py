@@ -190,7 +190,6 @@ def test_wand_actually_prunes_on_skewed_tf(tmp_path, ray_session):
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from elasticsearch_ray.index.fast_build import build_index_tasks
     from elasticsearch_ray.search.engine import IndexSearcher, TermPostings
 
     rng = np.random.default_rng(42)
@@ -210,8 +209,8 @@ def test_wand_actually_prunes_on_skewed_tf(tmp_path, ray_session):
         "commit": ["c"] * 6000, "lang": ["x"] * 6000, "content": docs,
     }), src)
     idx = str(tmp_path / "i")
-    build_index_tasks(src, idx, docs_per_partition=10**9, num_buckets=4,
-                      hot_terms=frozenset())
+    build_index(src, idx, docs_per_partition=10**9, num_buckets=4,
+                hot_terms=frozenset())
 
     # single-term routing goes to the impact-probe collector; the skewed
     # corpus must let it stop after the probe instead of decoding all blocks

@@ -4,9 +4,11 @@ segment; merged manifests carry lineage."""
 
 from __future__ import annotations
 
+import os
 import shutil
 
 import numpy as np
+import pyarrow.dataset as pads
 import pytest
 
 from elasticsearch_ray.index.build import build_index
@@ -261,3 +263,119 @@ def test_shrink_resume_skips_merged_groups(dirs, tmp_path):
     q = {"kind": "match", "text": "data query", "k": 10}
     assert list(IndexSearcher(idx).search(q)[0]) == \
         list(IndexSearcher(dst).search(q)[0])
+
+
+def _write_parts(src, everies, n=400):
+    """One parquet file of n docs per entry of `everies`, with `def tree` in
+    every k-th doc of a file and `def oak` in the others."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    src.mkdir()
+    for fi, every in enumerate(everies):
+        texts = [("def tree " if j % every == 0 else "def oak ")
+                 + f"alpha beta {'xyz'[j % 3]}word leaf"
+                 for j in range(n)]
+        pq.write_table(pa.table({
+            "repo": ["r"] * n, "path": [f"f{fi}_{j}.py" for j in range(n)],
+            "commit": ["c"] * n, "lang": ["python"] * n, "content": texts}),
+            str(src / f"part-{fi:05d}.parquet"), row_group_size=100)
+
+
+_TREE_QUERIES = [
+    {"kind": "match_phrase", "text": "def tree", "k": 1000},
+    {"kind": "term", "term": "tree", "k": 1000},
+    {"kind": "match", "text": "tree leaf", "operator": "and", "k": 1000},
+    {"kind": "match_phrase", "text": "tree alpha beta", "k": 1000},
+    {"kind": "match_phrase", "text": "def oak", "k": 1000},
+]
+
+
+def _assert_same_results(idx_a, idx_b):
+    a, b = IndexSearcher(idx_a), IndexSearcher(idx_b)
+    for q in _TREE_QUERIES:
+        ia, sa = a.search(q)
+        ib, sb = b.search(q)
+        assert list(ia) == list(ib), q
+        np.testing.assert_array_equal(sa, sb)
+
+
+def test_merge_of_builds_with_different_hot_sets_equals_one_build(tmp_path):
+    """merge(2 segments) == build(concat) when the two segments were built
+    by separate calls whose sampled hot-term sets differ: `tree` is in every
+    8th doc of the first file and every 100th of the second, so the first
+    call samples it hot and stores it in eight salt chunks, the second
+    stores it as one chunk-0 row, and the merge must not fuse that row with
+    the first segment's chunk 0."""
+    from elasticsearch_ray.stages.tokenize import sample_hot_terms
+
+    src = tmp_path / "src"
+    _write_parts(src, (8, 100))
+    assert "tree" in sample_hot_terms(str(src / "part-00000.parquet"))
+    assert "tree" not in sample_hot_terms(str(src))
+
+    appended, whole = str(tmp_path / "appended"), str(tmp_path / "whole")
+    hidden = str(tmp_path / "hidden.parquet")
+    os.rename(str(src / "part-00001.parquet"), hidden)
+    build_index(str(src), appended, docs_per_partition=400)
+    os.rename(hidden, str(src / "part-00001.parquet"))
+    build_index(str(src), appended, docs_per_partition=400)
+    assert len(live_segments(committed_segments(appended))) == 2
+    build_index(str(src), whole, docs_per_partition=800)
+
+    force_merge(appended)
+    assert len(live_segments(committed_segments(appended))) == 1
+    _assert_same_results(appended, whole)
+    ids, _ = IndexSearcher(appended).search(_TREE_QUERIES[0])
+    assert len(ids) == 50 + 4
+
+
+def test_merge_fuses_only_doc_adjacent_rows(tmp_path):
+    """Five segments, the middle one salting `tree` and `def` into chunks:
+    the cold chunk-0 rows on each side fuse into two separate rows, both
+    keyed (term, 0), and neither spans the salted middle."""
+    src, idx, whole = tmp_path / "src", str(tmp_path / "idx"), str(tmp_path / "whole")
+    _write_parts(src, (100, 100, 4, 100, 100), n=200)
+    files = sorted(os.listdir(src))
+    for i, f in enumerate(files):
+        hot = frozenset(["tree", "def"]) if i == 2 else frozenset()
+        build_index([str(src / g) for g in files[: i + 1]], idx,
+                    docs_per_partition=200, hot_terms=hot)
+    build_index(str(src), whole, docs_per_partition=1000, hot_terms=frozenset())
+    force_merge(idx)
+    (sid,) = live_segments(committed_segments(idx))
+    t = pads.dataset(os.path.join(idx, sid, "postings")).to_table().to_pylist()
+    tree_rows = sorted((r["chunk"], r["skip_last_doc"][-1]) for r in t
+                       if r["term"] == "tree")
+    assert [c for c, _ in tree_rows].count(0) == 2
+    _assert_same_results(idx, whole)
+
+
+def test_overlapping_postings_rows_raise():
+    """A term whose postings rows overlap in doc range cannot be read
+    correctly, so loading it fails and names the term."""
+    import pyarrow as pa
+
+    from elasticsearch_ray.search.engine import TermPostings
+    from elasticsearch_ray.stages.encode import encode_bucket
+
+    def rows(spans):
+        term, chunk, doc = [], [], []
+        for c, docs in enumerate(spans):
+            term += ["tree"] * len(docs)
+            chunk += [c] * len(docs)
+            doc += docs
+        return encode_bucket(pa.table({
+            "term": term, "chunk": pa.array(chunk, pa.int32()),
+            "doc_id": pa.array(doc, pa.int64()),
+            "tf": pa.array([1] * len(doc), pa.int32()),
+            "norm_len": pa.array([4] * len(doc), pa.int32()),
+            "positions": pa.array([[0]] * len(doc), pa.list_(pa.int32())),
+        })).to_pylist()
+
+    ok = TermPostings("tree", rows([[0, 3], [5, 9]]))
+    assert ok.doc_ids.tolist() == [0, 3, 5, 9]
+    with pytest.raises(ValueError, match="'tree'"):
+        TermPostings("tree", rows([[0, 10], [5, 7]]))
+    with pytest.raises(ValueError, match="'tree'"):
+        TermPostings("tree", rows([[0, 5], [5, 7]]))

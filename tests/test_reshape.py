@@ -229,7 +229,7 @@ def test_index_templates(dirs, tmp_path):
     # create_index applies resolved settings to a real build
     c, idx0 = dirs
     out = str(tmp_path / "templated")
-    stats, applied = T.create_index(c, out, "logs-hot-7", engine="dataset",
+    stats, applied = T.create_index(c, out, "logs-hot-7",
                                     docs_per_partition=500)
     assert applied["analyzer"] == "simple" and applied["num_buckets"] == 4
     assert stats.doc_count == 1000

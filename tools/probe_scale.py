@@ -38,7 +38,7 @@ def main() -> int:
     logging.getLogger("ray.data").setLevel(logging.ERROR)
     sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-    from elasticsearch_ray.index.fast_build import build_index_tasks
+    from elasticsearch_ray.index.build import build_index
     from elasticsearch_ray.sources.corpus import write_corpus
 
     # interleaved host-phase control: a fixed pure-python burn, so the
@@ -60,8 +60,8 @@ def main() -> int:
     idx_dir = f"/tmp/esray_probe/idx_{n_docs}_{ncpu}"
     shutil.rmtree(idx_dir, ignore_errors=True)
     t0 = time.time()
-    build_index_tasks(corpus_dir, idx_dir,
-                      docs_per_partition=10_000, num_buckets=32)
+    build_index(corpus_dir, idx_dir,
+                docs_per_partition=10_000, num_buckets=32)
     dt = time.time() - t0
     print(f"build {n_docs} docs in {dt:.1f}s = {n_docs / dt:,.0f} files/s "
           f"({corpus_bytes / dt / 1e6:.1f} MB/s), {ncpu} cpus")

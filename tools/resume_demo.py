@@ -4,7 +4,7 @@
 1. build the bench corpus index in a CHILD process and SIGKILL the whole
    process group once k segments have committed (mid-build hard crash --
    in-flight tmp segments are left behind, exactly like a node loss);
-2. RESUME the build in this process: `build_index_tasks` skips every
+2. RESUME the build in this process: `build_index` skips every
    committed segment (manifest presence = checkpoint) and rebuilds only
    the rest, clearing orphaned tmp dirs first;
 3. build a CLEAN one-shot index of the same corpus and assert the resumed
@@ -28,15 +28,16 @@ import sys
 import time
 
 BASE = "/tmp/esray_resume"
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 _CHILD = """
 import ray, sys
 ray.init(address="local", num_cpus=16, include_dashboard=False,
          logging_level="ERROR")
-sys.path.insert(0, "/root/repo")
-from elasticsearch_ray.index.fast_build import build_index_tasks
-build_index_tasks(sys.argv[1], sys.argv[2], docs_per_partition=10_000,
-                  num_buckets=32)
+sys.path.insert(0, sys.argv[3])
+from elasticsearch_ray.index.build import build_index
+build_index(sys.argv[1], sys.argv[2], docs_per_partition=10_000,
+            num_buckets=32)
 """
 
 
@@ -53,7 +54,7 @@ def main() -> None:
     n_docs = int(sys.argv[1]) if len(sys.argv) > 1 else 100_000
     kill_after = int(sys.argv[2]) if len(sys.argv) > 2 else 3
 
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, ROOT)
     from elasticsearch_ray.sources.corpus import write_corpus
 
     corpus = os.path.join(BASE, f"corpus_{n_docs}")
@@ -65,7 +66,7 @@ def main() -> None:
 
     # --- 1. crash the build after k committed segments --------------------
     child = subprocess.Popen(
-        [sys.executable, "-c", _CHILD, corpus, idx_killed],
+        [sys.executable, "-c", _CHILD, corpus, idx_killed, ROOT],
         start_new_session=True,  # its ray session dies with the group
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     t0 = time.time()
@@ -87,18 +88,18 @@ def main() -> None:
 
     ray.init(address="local", num_cpus=16, include_dashboard=False,
              logging_level="ERROR")
-    from elasticsearch_ray.index.fast_build import build_index_tasks
+    from elasticsearch_ray.index.build import build_index
     from elasticsearch_ray.index.manifest import committed_segments
 
     t0 = time.time()
-    build_index_tasks(corpus, idx_killed, docs_per_partition=10_000,
-                      num_buckets=32)
+    build_index(corpus, idx_killed, docs_per_partition=10_000,
+                num_buckets=32)
     t_resume = time.time() - t0
 
     # --- 3. clean one-shot build + identity checks ------------------------
     t0 = time.time()
-    build_index_tasks(corpus, idx_clean, docs_per_partition=10_000,
-                      num_buckets=32)
+    build_index(corpus, idx_clean, docs_per_partition=10_000,
+                num_buckets=32)
     t_clean = time.time() - t0
 
     segs_r = committed_segments(idx_killed)
