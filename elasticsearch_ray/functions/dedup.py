@@ -331,7 +331,12 @@ def minhash_verified_pairs_ds(ds, *, threshold: float = 0.8,
                     # append-only watermark: ids >= watermark are new
                     isnew = sub >= new_ids_min
                 else:
-                    isnew = new_ids_pred(sub)
+                    try:
+                        isnew = new_ids_pred(sub)
+                    except (TypeError, ValueError):
+                        # a scalar predicate on an array: `x in set` is
+                        # unhashable, `a and b` has no truth value
+                        isnew = None
                     if not (isinstance(isnew, np.ndarray)
                             and isnew.shape == sub.shape):
                         # predicate isn't numpy-vectorizable; scalar path

@@ -12,16 +12,20 @@
 Shapes at scale: LM training is one token-explode map_batches with
 per-batch pre-aggregation (each batch emits (token, count) partials, so
 the exchange carries per-batch vocab rows, not one row per token
-occurrence) into a groupby-sum. The fitted model is vocabulary-bounded
-and broadcast once via ray.put (the IVF-centroid pattern); scoring is a
-stateless map_batches with one np.searchsorted per batch + segment means
-via np.add.reduceat — no Python loop over tokens. For unbounded web
+occurrence) into a groupby-sum. That explode is `count_batch`, the
+tokenize-and-count kernel the text gates in pipelines/ops.py and the
+build's hot-term sampler share (`count_terms` is its Dataset form). The
+fitted model is vocabulary-bounded and broadcast once via ray.put (the
+IVF-centroid pattern); scoring is a stateless map_batches with one
+np.searchsorted per batch + segment means via np.add.reduceat — no
+Python loop over tokens. For unbounded web
 vocabularies pass `num_hash_buckets` to hash tokens into a fixed-size
 feature space (exactly DSIR's hashed n-gram trick); the gates use the
 raw-token mode, which SQL can mirror."""
 
 from __future__ import annotations
 
+import itertools
 import re
 from typing import NamedTuple
 
@@ -50,32 +54,80 @@ def _hash_tokens(tok: np.ndarray, num_buckets: int) -> np.ndarray:
     return (pd.util.hash_array(tok, categorize=False) % num_buckets)
 
 
+def count_batch(t: pa.Table, analyze, text_col: str = "text",
+                key: str = "term", *, distinct: bool = False,
+                fg=None) -> pa.Table:
+    """The tokenize-and-count kernel: one batch of docs -> pre-aggregated
+    (key, cnt[, fg]) partials.
+
+    `analyze` maps one text to its token list; a null text yields no
+    tokens (as SQL's regexp_split_to_array(lower(NULL)) does).
+    `distinct=True` counts a key once per doc (df, not occurrences).
+    `fg(batch, per_doc_tokens) -> bool[n_docs]` marks foreground docs;
+    their counts also go to the `fg` column. Every doc's tokens are
+    flattened once, then one pd.factorize + np.bincount: no per-token
+    Python dict updates."""
+    toks = [analyze(x) if x is not None else []
+            for x in t[text_col].to_pylist()]
+    lens = np.fromiter(map(len, toks), np.int64, len(toks))
+    codes, uniq = pd.factorize(
+        np.asarray(list(itertools.chain.from_iterable(toks)), dtype=object))
+    doc = np.repeat(np.arange(len(toks)), lens)
+    if distinct:
+        doc, codes = np.divmod(np.unique(doc * len(uniq) + codes),
+                               max(len(uniq), 1))
+    cols = {key: pa.array(np.asarray(uniq, dtype=object), pa.string()),
+            "cnt": np.bincount(codes, minlength=len(uniq))}
+    if fg is not None:
+        mask = np.asarray(fg(t, toks), dtype=bool)[doc]
+        cols["fg"] = np.bincount(codes[mask], minlength=len(uniq))
+    return pa.table(cols)
+
+
+def count_terms(ds, analyze, text_col: str = "text", key: str = "term", *,
+                distinct: bool = False, fg=None) -> pd.DataFrame:
+    """Dataset form of count_batch: per-batch partials, then Ray Data's
+    native groupby(key) Sum -> pandas (key, cnt[, fg]) int64. The text
+    gates' vocabularies are small enough that the native groupby beats
+    the bucketed exchange (see functions/exchange.py); unigram_counts
+    keeps bucketed_sum for corpus-scale vocabularies."""
+    from ray.data.aggregate import Sum
+
+    sums = ["cnt"] + (["fg"] if fg is not None else [])
+    out = (ds.map_batches(count_batch, batch_format="pyarrow",
+                          fn_kwargs={"analyze": analyze, "text_col": text_col,
+                                     "key": key, "distinct": distinct,
+                                     "fg": fg})
+           .groupby(key)
+           .aggregate(*(Sum(c, alias_name=c) for c in sums))
+           .to_pandas())
+    return out.astype({c: np.int64 for c in sums})
+
+
 def unigram_counts(ds, *, text_col: str = "text",
                    num_hash_buckets: int | None = None):
     """Distributed token counts: (token, c) Dataset. Pre-aggregates within
-    each batch so the exchange ships per-batch vocabularies."""
+    each batch (count_batch) so the exchange ships per-batch vocabularies."""
 
     def explode(t: pa.Table) -> pa.Table:
-        toks = np.concatenate(
-            [np.asarray(_tokens(x), dtype=object)
-             for x in t[text_col].to_pylist()] or
-            [np.empty(0, dtype=object)])
-        if num_hash_buckets is not None:
-            key = _hash_tokens(toks, num_hash_buckets)
-            uniq, cnt = np.unique(key, return_counts=True)
-            return pa.table({"token": pa.array(uniq, pa.uint64()),
-                             "c": pa.array(cnt, pa.int64())})
-        uniq, cnt = np.unique(toks.astype(str), return_counts=True)
-        return pa.table({"token": pa.array(uniq, pa.string()),
-                         "c": pa.array(cnt, pa.int64())})
+        p = count_batch(t, _tokens, text_col, "token")
+        if num_hash_buckets is None:
+            return p
+        key = _hash_tokens(p["token"].to_numpy(zero_copy_only=False),
+                           num_hash_buckets)
+        uniq, inv = np.unique(key, return_inverse=True)
+        return pa.table({"token": pa.array(uniq, pa.uint64()),
+                         "cnt": np.bincount(inv, weights=p["cnt"].to_numpy(),
+                                            minlength=len(uniq)
+                                            ).astype(np.int64)})
 
     # bucketed exchange, NOT groupby(token): Ray's sort-based groupby
     # pays per-GROUP overhead at vocabulary cardinality (see
     # functions/exchange.py and SCALE.md Round-4)
     from .exchange import bucketed_sum
 
-    return bucketed_sum(
-        ds.map_batches(explode, batch_format="pyarrow"), ["token"], "c")
+    return bucketed_sum(ds.map_batches(explode, batch_format="pyarrow"),
+                        ["token"], "cnt", out_name="c")
 
 
 def fit_unigram_lm(ds, *, text_col: str = "text", alpha: float = 0.5,
@@ -84,7 +136,6 @@ def fit_unigram_lm(ds, *, text_col: str = "text", alpha: float = 0.5,
     vocabulary-bounded — the only thing that ever reaches the driver)."""
     counts = unigram_counts(ds, text_col=text_col,
                             num_hash_buckets=num_hash_buckets).to_pandas()
-    counts = counts.rename(columns={"sum(c)": "c"})
     vocab = counts["token"].to_numpy()
     order = np.argsort(vocab, kind="stable")
     vocab = vocab[order]
@@ -234,31 +285,27 @@ class BigramLM(NamedTuple):
     lam: float
 
 
+def _bigrams(text: str) -> list[str]:
+    toks = _tokens(text)
+    return [a + "\x1f" + b for a, b in zip(toks, toks[1:])]
+
+
 def bigram_counts(ds, *, text_col: str = "text"):
-    """Distributed (prev, w) pair counts, pre-aggregated per batch."""
-
-    def explode(t: pa.Table) -> pa.Table:
-        keys = []
-        for x in t[text_col].to_pylist():
-            toks = _tokens(x)
-            keys.extend(a + "\x1f" + b for a, b in zip(toks, toks[1:]))
-        uniq, cnt = np.unique(np.asarray(keys, dtype=object).astype(str),
-                              return_counts=True) if keys else (
-            np.empty(0, dtype=str), np.empty(0, np.int64))
-        return pa.table({"key": pa.array(uniq.astype(object), pa.string()),
-                         "c": pa.array(cnt.astype(np.int64), pa.int64())})
-
+    """Distributed (prev, w) pair counts: (key, c) Dataset with key =
+    prev + "\\x1f" + w, pre-aggregated per batch (count_batch)."""
     from .exchange import bucketed_sum
 
     return bucketed_sum(
-        ds.map_batches(explode, batch_format="pyarrow"), ["key"], "c")
+        ds.map_batches(count_batch, batch_format="pyarrow",
+                       fn_kwargs={"analyze": _bigrams, "text_col": text_col,
+                                  "key": "key"}),
+        ["key"], "cnt", out_name="c")
 
 
 def fit_bigram_lm(ds, *, text_col: str = "text", alpha: float = 0.5,
                   lam: float = 0.7) -> BigramLM:
     uni = fit_unigram_lm(ds, text_col=text_col, alpha=alpha)
     bg = bigram_counts(ds, text_col=text_col).to_pandas()
-    bg = bg.rename(columns={"sum(c)": "c"})
     keys = bg["key"].to_numpy().astype(str)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
@@ -390,36 +437,25 @@ def ngram_counts(ds, *, n: int = 3, text_col: str = "text",
     ships its distinct n-grams) into a groupby-sum over the w1..wn key;
     `min_count` pruning happens after the reduce, exactly like count-file
     pruning. Returns a Dataset of (w1..wn, c)."""
+    import pyarrow.compute as pc
+
     cols = [f"w{i + 1}" for i in range(n)]
 
+    def ngrams(x: str) -> list[str]:
+        seq = [bos] + _tokens(x) + [eos]
+        return ["\x1f".join(seq[i:i + n]) for i in range(len(seq) - n + 1)]
+
     def explode(t: pa.Table) -> pa.Table:
-        seqs = [[bos] + _tokens(x) + [eos] for x in t[text_col].to_pylist()]
-        flat = np.concatenate(
-            [np.asarray(s, dtype=object) for s in seqs] or
-            [np.empty(0, dtype=object)]).astype(str)
-        lens = np.array([len(s) for s in seqs], dtype=np.int64)
-        offs = np.concatenate([[0], np.cumsum(lens)])
-        # valid window starts: i .. i+n-1 inside one doc
-        starts = np.flatnonzero(
-            np.arange(len(flat)) + n <= np.repeat(offs[1:], lens))
-        if len(starts) == 0:
-            return pa.table({**{c: pa.array([], pa.string()) for c in cols},
-                             "c": pa.array([], pa.int64())})
-        key = flat[starts]
-        for j in range(1, n):
-            key = np.char.add(np.char.add(key, "\x1f"), flat[starts + j])
-        uniq, cnt = np.unique(key, return_counts=True)
-        parts = np.array([u.split("\x1f") for u in uniq.tolist()], dtype=object)
-        return pa.table({**{c: pa.array(parts[:, i].astype(str), pa.string())
-                            for i, c in enumerate(cols)},
-                         "c": pa.array(cnt.astype(np.int64), pa.int64())})
+        p = count_batch(t, ngrams, text_col, "key")
+        parts = pc.split_pattern(p["key"], "\x1f")
+        return pa.table({**{c: pc.list_element(parts, i)
+                            for i, c in enumerate(cols)}, "c": p["cnt"]})
 
     from .exchange import bucketed_sum
 
     out = bucketed_sum(ds.map_batches(explode, batch_format="pyarrow"),
                        cols, "c", out_name="c")
     if min_count > 1:
-        import pyarrow.compute as pc
         out = out.map_batches(
             lambda t: t.filter(pc.greater_equal(t["c"], min_count)),
             batch_format="pyarrow")

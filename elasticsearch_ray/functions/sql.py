@@ -59,17 +59,23 @@ def _rewrite_scalar_sql(e: str, *, pred: bool) -> str:
     return e
 
 
+def _unquoted(s: str, i: int = 0):
+    """Indices j >= i of s that lie outside 'single-quoted' literals."""
+    inq = False
+    for j in range(i, len(s)):
+        if s[j] == "'":
+            inq = not inq
+        elif not inq:
+            yield j
+
+
 def _match_paren(s: str, i: int) -> int:
     """s[i] == '(' -> index of the matching ')' (quote-aware)."""
     depth = 0
-    inq = False
-    for j in range(i, len(s)):
-        c = s[j]
-        if c == "'":
-            inq = not inq
-        elif not inq and c == "(":
+    for j in _unquoted(s, i):
+        if s[j] == "(":
             depth += 1
-        elif not inq and c == ")":
+        elif s[j] == ")":
             depth -= 1
             if depth == 0:
                 return j
@@ -81,7 +87,9 @@ def _extract_from_subquery(s: str):
     (outer_sql_with___subq_placeholder, inner_sql), or None. PIVOT's
     derived table is left to its own planner."""
     s = s.strip().rstrip(";")
-    m = re.search(r"(?is)\bFROM\s*\(", s)
+    outside = set(_unquoted(s))
+    m = next((m for m in re.finditer(r"(?is)\bFROM\s*\(", s)
+              if m.start() in outside), None)
     if not m:
         return None
     o = s.index("(", m.start())

@@ -4,6 +4,13 @@ Each function takes `sf_dir` and returns a pandas/pyarrow result whose
 column names match the corresponding oracle SQL in __ray_entry__.oracle_sql.
 All are Ray-Data-first implementations (map_batches / groupby / aggregate /
 sort over Datasets) built on the engine (search), aggs and functions modules.
+
+Gates that count analyzed tokens (terms, df, shingles, stems, significance
+foreground/background, graph co-occurrence, uni/bigram LM stats) pass their
+analyze callable to one kernel, functions/lm.py count_terms: per-batch
+(key, cnt[, fg]) partials, then one native groupby Sum. A gate supplies only
+what differs: the analyzer, distinct-per-doc or occurrences, and a
+foreground mask (_lang_is, _has_term).
 """
 
 from __future__ import annotations
@@ -15,8 +22,10 @@ import pandas as pd
 import pyarrow as pa
 
 from ..aggs import aggregations as A
+from ..analyzer import analyze_simple
 from ..utils import round_half_away
 from ..functions import dedup as D
+from ..functions.lm import count_terms
 from ..functions import similarity as S
 from ..functions import text as T
 from .fulltext import all_matches, documents_searcher, highlight, suggest_terms, topk_matches
@@ -60,6 +69,17 @@ def _qvecs(sf_dir: str, n: int = 3, *, ids=None,
         return d.to_table(columns=list(columns),
                           filter=pc.field("vec_id").isin(list(ids)))
     return d.head(n, columns=list(columns))
+
+
+def _lang_is(lang: str):
+    """count_terms foreground: docs whose lang column equals `lang`."""
+    return lambda t, toks: np.asarray(t["lang"]) == lang
+
+
+def _has_term(term: str):
+    """count_terms foreground: docs whose analyzed text contains `term`."""
+    return lambda t, toks: np.fromiter((term in ts for ts in toks), bool,
+                                       len(toks))
 
 
 # ---------------- full-text search family ----------------
@@ -532,26 +552,7 @@ def text_fingerprint(sf_dir: str):
 def top_terms(sf_dir: str):
     """significant/terms-agg over analyzed text: global top 20 terms by
     total occurrences (pre-aggregated per batch, tiny final groupby)."""
-    from collections import Counter
-
-    from ray.data.aggregate import Sum
-
-    from ..analyzer import analyze_simple
-
-    def partial(t: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        for s in t["text"].to_pylist():
-            c.update(analyze_simple(s))
-        return pa.table({"term": list(c.keys()),
-                         "cnt": pa.array(list(c.values()), pa.int64())})
-
-    out = (
-        _ds(sf_dir, "documents", ["text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("term")
-        .aggregate(Sum("cnt", alias_name="cnt"))
-        .to_pandas()
-    )
+    out = count_terms(_ds(sf_dir, "documents", ["text"]), analyze_simple)
     out = out.sort_values(["cnt", "term"], ascending=[False, True]).head(20)
     return out.reset_index(drop=True)
 
@@ -772,26 +773,8 @@ def ft_rescore(sf_dir: str):
 def agg_rare_terms(sf_dir: str):
     """rare_terms agg (bucket/terms/rare_terms, cuckoo-filtered in the
     reference): terms with global df <= 3."""
-    from collections import Counter
-
-    from ray.data.aggregate import Sum
-
-    from ..analyzer import analyze_simple
-
-    def partial(t: pa.Table) -> pa.Table:
-        c = Counter()
-        for s in t["text"].to_pylist():
-            c.update(set(analyze_simple(s)))
-        return pa.table({"term": list(c.keys()),
-                         "df": pa.array(list(c.values()), pa.int64())})
-
-    out = (
-        _ds(sf_dir, "documents", ["text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("term")
-        .aggregate(Sum("df", alias_name="df"))
-        .to_pandas()
-    )
+    out = count_terms(_ds(sf_dir, "documents", ["text"]), analyze_simple,
+                      distinct=True).rename(columns={"cnt": "df"})
     out = out[out["df"] <= 30].sort_values("term").reset_index(drop=True)
     return out
 
@@ -885,31 +868,9 @@ def agg_significant_text(sf_dir: str):
     """significant_text (bucket/significant/SignificantTextAggregator.java):
     re-analyzes the text field; foreground = docs matching the query term
     'data'; JLH scoring over distinct-per-doc terms."""
-    from collections import Counter
-
-    from ray.data.aggregate import Sum
-
-    from ..analyzer import analyze_simple
-
-    def partial(t: pa.Table) -> pa.Table:
-        fg, bg = Counter(), Counter()
-        for s in t["text"].to_pylist():
-            terms = set(analyze_simple(s))
-            bg.update(terms)
-            if "data" in terms:
-                fg.update(terms)
-        allt = sorted(bg)
-        return pa.table({"term": allt,
-                         "fg_df": pa.array([fg.get(t, 0) for t in allt], pa.int64()),
-                         "bg_df": pa.array([bg[t] for t in allt], pa.int64())})
-
-    ds = _ds(sf_dir, "documents", ["text"])
-    red = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("term")
-        .aggregate(Sum("fg_df", alias_name="fg_df"), Sum("bg_df", alias_name="bg_df"))
-        .to_pandas()
-    )
+    red = count_terms(_ds(sf_dir, "documents", ["text"]), analyze_simple,
+                      distinct=True, fg=_has_term("data")).rename(
+        columns={"cnt": "bg_df", "fg": "fg_df"})
     # fg_n = every foreground doc contains the query term itself
     fg_n = int(red.loc[red.term == "data", "fg_df"].iloc[0])
     bg_n = _ds(sf_dir, "documents", ["doc_id"]).count()
@@ -925,36 +886,7 @@ def agg_significant_terms(sf_dir: str):
     """significant_terms with the JLH heuristic
     (bucket/significant/heuristics/JLHScore.java): foreground = lang='zh',
     background = all docs; score = (fg% - bg%) * (fg% / bg%)."""
-    from collections import Counter
-
-    from ray.data.aggregate import Sum
-
-    from ..analyzer import analyze_simple
-
-    def partial(t: pa.Table) -> pa.Table:
-        fg, bg = Counter(), Counter()
-        for lang, s in zip(t["lang"].to_pylist(), t["text"].to_pylist()):
-            terms = set(analyze_simple(s))
-            bg.update(terms)
-            if lang == "zh":
-                fg.update(terms)
-        allt = sorted(bg)
-        return pa.table({"term": allt,
-                         "fg_df": pa.array([fg.get(t, 0) for t in allt], pa.int64()),
-                         "bg_df": pa.array([bg[t] for t in allt], pa.int64())})
-
-    ds = _ds(sf_dir, "documents", ["lang", "text"])
-    red = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("term")
-        .aggregate(Sum("fg_df", alias_name="fg_df"), Sum("bg_df", alias_name="bg_df"))
-        .to_pandas()
-    )
-    import pyarrow.dataset as pads
-
-    meta = pads.dataset(os.path.join(sf_dir, "documents.parquet")).to_table(columns=["lang"])
-    fg_n = int((np.asarray(meta["lang"]) == "zh").sum())
-    bg_n = len(meta)
+    red, fg_n, bg_n = _significant_dfs(sf_dir)
     red = red[red.fg_df >= 5].copy()
     fgp = red.fg_df / fg_n
     bgp = red.bg_df / bg_n
@@ -1331,33 +1263,12 @@ def ft_count(sf_dir: str):
 
 def _significant_dfs(sf_dir: str):
     """(reduced term table with fg_df/bg_df, fg_n, bg_n) shared by the
-    significance-heuristic gates — partial per-batch term-df counting +
-    one small groupby (the shard-local collect + final reduce shape)."""
-    from collections import Counter
-
-    from ray.data.aggregate import Sum
-
-    from ..analyzer import analyze_simple
-
-    def partial(t: pa.Table) -> pa.Table:
-        fg, bg = Counter(), Counter()
-        for lang, s in zip(t["lang"].to_pylist(), t["text"].to_pylist()):
-            terms = set(analyze_simple(s))
-            bg.update(terms)
-            if lang == "zh":
-                fg.update(terms)
-        allt = sorted(bg)
-        return pa.table({"term": allt,
-                         "fg_df": pa.array([fg.get(k, 0) for k in allt], pa.int64()),
-                         "bg_df": pa.array([bg[k] for k in allt], pa.int64())})
-
-    red = (
-        _ds(sf_dir, "documents", ["lang", "text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("term")
-        .aggregate(Sum("fg_df", alias_name="fg_df"), Sum("bg_df", alias_name="bg_df"))
-        .to_pandas()
-    )
+    significance-heuristic gates (fg = lang='zh') — per-batch term-df
+    partials + one small groupby (the shard-local collect + final reduce
+    shape)."""
+    red = count_terms(_ds(sf_dir, "documents", ["lang", "text"]),
+                      analyze_simple, distinct=True, fg=_lang_is("zh"))
+    red = red.rename(columns={"cnt": "bg_df", "fg": "fg_df"})
     import pyarrow.dataset as pads
 
     meta = pads.dataset(os.path.join(sf_dir, "documents.parquet")).to_table(
@@ -1754,26 +1665,11 @@ def ft_analyze_edge_ngram(sf_dir: str):
 def ft_analyze_shingle(sf_dir: str):
     """shingle token filter over the documents corpus: top-10 2-word shingles
     by occurrence (the phrase-suggester field shape). Distributed partials."""
-    from collections import Counter
-
-    from ray.data.aggregate import Sum
-
-    from ..analyzer import analyze_simple
     from ..filters import shingle_filter
 
-    def partial(t: pa.Table) -> pa.Table:
-        c = Counter()
-        for s in t["text"].to_pylist():
-            c.update(shingle_filter(analyze_simple(s), 2, 2))
-        items = sorted(c)
-        return pa.table({"shingle": items,
-                         "cnt": pa.array([c[k] for k in items], pa.int64())})
-
-    out = (
-        _ds(sf_dir, "documents", ["text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("shingle").aggregate(Sum("cnt", alias_name="cnt")).to_pandas()
-    )
+    out = count_terms(_ds(sf_dir, "documents", ["text"]),
+                      lambda s: shingle_filter(analyze_simple(s), 2, 2),
+                      key="shingle")
     return (out.sort_values(["cnt", "shingle"], ascending=[False, True])
             .head(10).reset_index(drop=True))
 
@@ -1783,25 +1679,10 @@ def ft_analyze_stemmer(sf_dir: str):
     count. Exact-oracled via the CV-mask Porter-in-SQL pipeline
     (lang/sql_oracle.porter_pipeline_ctes); the published Porter test
     vectors in pytest pin the algorithm independently."""
-    from collections import Counter
-
-    from ray.data.aggregate import Sum
-
     from ..analyzer import analyze_english
 
-    def partial(t: pa.Table) -> pa.Table:
-        c = Counter()
-        for s in t["text"].to_pylist():
-            c.update(analyze_english(s))
-        items = sorted(c)
-        return pa.table({"stem": items,
-                         "cnt": pa.array([c[k] for k in items], pa.int64())})
-
-    out = (
-        _ds(sf_dir, "documents", ["text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("stem").aggregate(Sum("cnt", alias_name="cnt")).to_pandas()
-    )
+    out = count_terms(_ds(sf_dir, "documents", ["text"]), analyze_english,
+                      key="stem")
     return (out.sort_values(["cnt", "stem"], ascending=[False, True])
             .head(10).reset_index(drop=True))
 
@@ -1809,29 +1690,14 @@ def ft_analyze_stemmer(sf_dir: str):
 def ft_analyze_synonym(sf_dir: str):
     """synonym token filter (replacement form): spark=>engine, big=>large;
     token counts for the mapped vocabulary."""
-    from collections import Counter
-
-    from ray.data.aggregate import Sum
-
-    from ..analyzer import analyze_simple
     from ..filters import synonym_filter
 
     syn = {"spark": "engine", "big": "large"}
-
-    def partial(t: pa.Table) -> pa.Table:
-        c = Counter()
-        for s in t["text"].to_pylist():
-            c.update(tk for tk in synonym_filter(analyze_simple(s), syn)
-                     if tk in ("engine", "large"))
-        items = sorted(c)
-        return pa.table({"token": items,
-                         "cnt": pa.array([c[k] for k in items], pa.int64())})
-
-    out = (
-        _ds(sf_dir, "documents", ["text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("token").aggregate(Sum("cnt", alias_name="cnt")).to_pandas()
-    )
+    out = count_terms(
+        _ds(sf_dir, "documents", ["text"]),
+        lambda s: [tk for tk in synonym_filter(analyze_simple(s), syn)
+                   if tk in ("engine", "large")],
+        key="token")
     return out.sort_values("token").reset_index(drop=True)
 
 
@@ -1845,45 +1711,25 @@ def ft_analyze_ascii(sf_dir: str):
                          "token": toks})
 
 
-def phrase_suggest(sf_dir: str):
-    """phrase suggester (search/suggest/phrase/PhraseSuggester.java shape):
-    per-slot candidate generation (vocabulary within 1 edit, top-5 by
-    frequency) + bigram language-model rescoring with Laplace smoothing;
-    returns the top-3 corrected phrases for 'data sow qery' (the middle
-    token is ambiguous between slow/row, resolved by the bigram model).
+def _phrase_lattice(sf_dir: str) -> list[tuple[str, float]]:
+    """Phrase-suggester lattice for 'data sow qery', best first: per-slot
+    candidates (vocabulary within 1 edit, top-5 by frequency) scored by a
+    Laplace-smoothed bigram language model. Unigram and bigram counts come
+    from one distributed count_terms pass (a bigram key is 'a b'; simple
+    tokens never hold a space); only the lattice is scored on the driver."""
+    import itertools
 
-    Unigram/bigram stats are distributed (per-batch Counter partials +
-    groupby Sum); only the tiny candidate lattice is scored on the driver."""
-    from collections import Counter
-
-    from ray.data.aggregate import Sum
-
-    from ..analyzer import analyze_simple
     from ..search.engine import levenshtein_vec
 
-    def partial(t: pa.Table):
-        uni, big = Counter(), Counter()
-        for s in t["text"].to_pylist():
-            toks = analyze_simple(s)
-            uni.update(toks)
-            big.update(zip(toks, toks[1:]))
-        u = sorted(uni)
-        b = sorted(big)
-        yield pa.table({"kind_": ["u"] * len(u), "t1": u, "t2": [""] * len(u),
-                        "cnt": pa.array([uni[k] for k in u], pa.int64())})
-        yield pa.table({"kind_": ["b"] * len(b), "t1": [k[0] for k in b],
-                        "t2": [k[1] for k in b],
-                        "cnt": pa.array([big[k] for k in b], pa.int64())})
+    def uni_bi(s: str) -> list[str]:
+        toks = analyze_simple(s)
+        return toks + [f"{a} {b}" for a, b in zip(toks, toks[1:])]
 
-    red = (
-        _ds(sf_dir, "documents", ["text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["kind_", "t1", "t2"])
-        .aggregate(Sum("cnt", alias_name="cnt"))
-        .to_pandas()
-    )
-    uni = {r.t1: int(r.cnt) for r in red[red.kind_ == "u"].itertuples()}
-    big = {(r.t1, r.t2): int(r.cnt) for r in red[red.kind_ == "b"].itertuples()}
+    red = count_terms(_ds(sf_dir, "documents", ["text"]), uni_bi)
+    pair = red["term"].str.contains(" ", regex=False).to_numpy()
+    uni = dict(zip(red["term"][~pair], red["cnt"][~pair].tolist()))
+    big = {tuple(k.split(" ")): c
+           for k, c in zip(red["term"][pair], red["cnt"][pair].tolist())}
     V = len(uni)
     T = float(sum(uni.values()))
     vocab = np.array(sorted(uni), dtype=object)
@@ -1896,15 +1742,22 @@ def phrase_suggest(sf_dir: str):
 
     slots = [candidates(t) for t in ("data", "sow", "qery")]
     results = []
-    import itertools
-
     for seq in itertools.product(*slots):
         score = np.log((uni[seq[0]] + 1.0) / (T + V))
         for a, b in zip(seq, seq[1:]):
             score += np.log((big.get((a, b), 0) + 1.0) / (uni[a] + V))
         results.append((" ".join(seq), float(round_half_away(float(score), 4))))
     results.sort(key=lambda x: (-x[1], x[0]))
-    out = results[:3]
+    return results
+
+
+def phrase_suggest(sf_dir: str):
+    """phrase suggester (search/suggest/phrase/PhraseSuggester.java shape):
+    per-slot candidate generation (vocabulary within 1 edit, top-5 by
+    frequency) + bigram language-model rescoring with Laplace smoothing;
+    returns the top-3 corrected phrases for 'data sow qery' (the middle
+    token is ambiguous between slow/row, resolved by the bigram model)."""
+    out = _phrase_lattice(sf_dir)[:3]
     return pd.DataFrame({"phrase": [p for p, _ in out],
                          "score": [s for _, s in out]})
 
@@ -1918,59 +1771,9 @@ def ft_suggest_collate(sf_dir: str):
     with a match_phrase query. The collate probe is one tiny query per
     suggestion against the already-loaded searcher — at scale this is the
     suggester's query-then-prune round trip, not a corpus pass."""
-    from collections import Counter
-    import itertools
-
-    from ray.data.aggregate import Sum
-
-    from ..analyzer import analyze_simple
-    from ..search.engine import levenshtein_vec
-    from .fulltext import documents_searcher
-
-    def partial(t: pa.Table):
-        uni, big = Counter(), Counter()
-        for s_ in t["text"].to_pylist():
-            toks = analyze_simple(s_)
-            uni.update(toks)
-            big.update(zip(toks, toks[1:]))
-        u = sorted(uni)
-        b = sorted(big)
-        yield pa.table({"kind_": ["u"] * len(u), "t1": u, "t2": [""] * len(u),
-                        "cnt": pa.array([uni[k] for k in u], pa.int64())})
-        yield pa.table({"kind_": ["b"] * len(b), "t1": [k[0] for k in b],
-                        "t2": [k[1] for k in b],
-                        "cnt": pa.array([big[k] for k in b], pa.int64())})
-
-    red = (
-        _ds(sf_dir, "documents", ["text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["kind_", "t1", "t2"])
-        .aggregate(Sum("cnt", alias_name="cnt"))
-        .to_pandas()
-    )
-    uni = {r.t1: int(r.cnt) for r in red[red.kind_ == "u"].itertuples()}
-    big = {(r.t1, r.t2): int(r.cnt) for r in red[red.kind_ == "b"].itertuples()}
-    V = len(uni)
-    T = float(sum(uni.values()))
-    vocab = np.array(sorted(uni), dtype=object)
-
-    def candidates(token: str) -> list[str]:
-        d = levenshtein_vec(token, vocab)
-        cand = [(str(w), uni[str(w)]) for w, dd in zip(vocab, d) if dd <= 1]
-        cand.sort(key=lambda x: (-x[1], x[0]))
-        return [w for w, _ in cand[:5]]
-
-    slots = [candidates(t) for t in ("data", "sow", "qery")]
-    results = []
-    for seq in itertools.product(*slots):
-        score = np.log((uni[seq[0]] + 1.0) / (T + V))
-        for a, b in zip(seq, seq[1:]):
-            score += np.log((big.get((a, b), 0) + 1.0) / (uni[a] + V))
-        results.append((" ".join(seq), float(round_half_away(float(score), 4))))
-    results.sort(key=lambda x: (-x[1], x[0]))
     s = documents_searcher(sf_dir)
     phrases, scores, matched = [], [], []
-    for phrase, sc in results[:10]:
+    for phrase, sc in _phrase_lattice(sf_dir)[:10]:
         ids, _ = s._eval({"kind": "match_phrase", "text": phrase})
         phrases.append(phrase)
         scores.append(sc)
@@ -4666,27 +4469,23 @@ def annotated_text_terms(sf_dir: str):
     (`[lang](lang-xx) text`); injected annotation tokens counted per value
     through the standard analysis chain — the entity-aggregation use case
     the plugin exists for."""
-    from collections import Counter
+    import pyarrow.compute as pc
 
     from ..analyzer import get_analyzer
 
     ann = get_analyzer("annotated_text")
 
-    ds = _ds(sf_dir, "documents", ["lang", "text"])
+    def annotate(t: pa.Table) -> pa.Table:
+        lang = t["lang"]
+        return pa.table({"text": pc.binary_join_element_wise(
+            "[", lang, "](lang-", lang, ") ", t["text"], "")})
 
-    def partial(t: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        for lang, text in zip(t["lang"].to_pylist(), t["text"].to_pylist()):
-            for tok, _pos in ann.positions(f"[{lang}](lang-{lang}) {text}"):
-                if tok.startswith("lang-"):
-                    c[tok] += 1
-        items = sorted(c.items())
-        return pa.table({"token": [k for k, _ in items],
-                         "doc_count": np.array([v for _, v in items],
-                                               np.int64)})
-
-    out = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    out = out.groupby("token", as_index=False)["doc_count"].sum()
+    out = count_terms(
+        _ds(sf_dir, "documents", ["lang", "text"])
+        .map_batches(annotate, batch_format="pyarrow"),
+        lambda s: [tok for tok, _pos in ann.positions(s)
+                   if tok.startswith("lang-")],
+        key="token").rename(columns={"cnt": "doc_count"})
     return out.sort_values("token").reset_index(drop=True)
 
 
@@ -5813,9 +5612,8 @@ def pmi_collocations(sf_dir: str):
     from ..functions import lm as LM
 
     docs = _ds(sf_dir, "documents", ["text"])
-    uni = LM.unigram_counts(docs).to_pandas().rename(
-        columns={"sum(c)": "c"})
-    big = LM.bigram_counts(docs).to_pandas().rename(columns={"sum(c)": "c"})
+    uni = LM.unigram_counts(docs).to_pandas()
+    big = LM.bigram_counts(docs).to_pandas()
     n = float(uni["c"].sum())
     nb = float(big["c"].sum())
     big = big[big["c"] >= 5].copy()
@@ -8832,39 +8630,13 @@ def graph_explore(sf_dir: str):
     """Graph explore API (x-pack graph TransportGraphExploreAction):
     seed term 'data' -> vertices are the co-occurring terms ranked by the
     number of seed docs they appear in (doc-distinct), with the overlap/df
-    affinity weight. Scale shape: per-batch doc-distinct term pairs ->
-    partial counts -> (vocab)-cardinality groupby; the seed-doc test is
-    evaluated inside the batch, never joined."""
-    import re
-
-    pat = re.compile(r"[^a-z0-9]+")
+    affinity weight. Scale shape: per-batch doc-distinct term counts with
+    the seed docs as foreground -> (vocab)-cardinality groupby; the
+    seed-doc test is evaluated inside the batch, never joined."""
     seed = "data"
-
-    def partial(t: pa.Table) -> pa.Table:
-        from collections import Counter
-
-        tot: Counter = Counter()
-        ov: Counter = Counter()
-        for s in t["text"].to_pylist():
-            terms = set(w for w in pat.split(s.lower()) if w)
-            tot.update(terms)
-            if seed in terms:
-                ov.update(terms)
-        keys = sorted(tot)
-        return pa.table({
-            "term": pa.array(keys),
-            "df": pa.array([tot[k] for k in keys], pa.int64()),
-            "overlap": pa.array([ov.get(k, 0) for k in keys], pa.int64()),
-        })
-
-    from ray.data.aggregate import Sum
-
-    out = (_ds(sf_dir, "documents", ["text"])
-           .map_batches(partial, batch_format="pyarrow")
-           .groupby("term")
-           .aggregate(Sum("df", alias_name="df"),
-                      Sum("overlap", alias_name="overlap"))
-           .to_pandas())
+    out = count_terms(_ds(sf_dir, "documents", ["text"]), analyze_simple,
+                      distinct=True, fg=_has_term(seed)).rename(
+        columns={"cnt": "df", "fg": "overlap"})
     out = out[(out["term"] != seed) & (out["overlap"] > 0)]
     out["weight"] = round_half_away(
         (out["overlap"] / out["df"]).to_numpy().astype(np.float64), 4)
@@ -9765,24 +9537,11 @@ def tokenizer_vocab_coverage(sf_dir: str):
     term-count exchange carries one row per distinct term; the selected
     vocab is ray.put-broadcast and per-batch OOV counting is a set probe,
     so the token stream never shuffles."""
-    import re
-
     import ray
-    from ray.data.aggregate import Count, Sum
+    from ray.data.aggregate import Sum
 
-    pat = re.compile(r"[^a-z0-9]+")
-
-    def explode(t: pa.Table) -> pa.Table:
-        terms = []
-        for s in t["text"].to_pylist():
-            terms.extend(w for w in pat.split(s.lower()) if w)
-        return pa.table({"term": pa.array(terms, pa.string())})
-
-    tc = (_ds(sf_dir, "documents", ["text"])
-          .map_batches(explode, batch_format="pyarrow")
-          .groupby("term").aggregate(Count(alias_name="c"))
-          .to_pandas())
-    vocab = set(tc.sort_values(["c", "term"], ascending=[False, True])
+    tc = count_terms(_ds(sf_dir, "documents", ["text"]), analyze_simple)
+    vocab = set(tc.sort_values(["cnt", "term"], ascending=[False, True])
                   .head(10)["term"])
     vref = ray.put(vocab)
 
@@ -9790,7 +9549,7 @@ def tokenizer_vocab_coverage(sf_dir: str):
         v = ray.get(vref)
         langs, toks, oovs = [], [], []
         for lang, s in zip(t["lang"].to_pylist(), t["text"].to_pylist()):
-            ws = [w for w in pat.split(s.lower()) if w]
+            ws = analyze_simple(s)
             langs.append(lang)
             toks.append(len(ws))
             oovs.append(sum(1 for w in ws if w not in v))
@@ -11504,24 +11263,7 @@ def corpus_zipf_slope(sf_dir: str):
     ln(freq) on ln(rank) over the top-100 terms. Term counts come from
     per-batch partials + ONE term groupby; the fit runs on the 100-row
     driver table with the same literal expressions as the SQL twin."""
-    from collections import Counter
-
-    from ray.data.aggregate import Sum
-
-    from ..analyzer import analyze_simple
-
-    def partial(t: pa.Table) -> pa.Table:
-        cnt: Counter = Counter()
-        for s in t["text"].to_pylist():
-            cnt.update(analyze_simple(s))
-        return pa.table({"term": list(cnt.keys()),
-                         "cnt": pa.array(list(cnt.values()), pa.int64())})
-
-    tc = (_ds(sf_dir, "documents", ["text"])
-          .map_batches(partial, batch_format="pyarrow")
-          .groupby("term")
-          .aggregate(Sum("cnt", alias_name="cnt"))
-          .to_pandas()
+    tc = (count_terms(_ds(sf_dir, "documents", ["text"]), analyze_simple)
           .sort_values(["cnt", "term"], ascending=[False, True]).head(100))
     k = len(tc)
     x = np.log(np.arange(1, k + 1, dtype=np.float64))
@@ -12427,53 +12169,26 @@ def agg_date_histogram_bounds(sf_dir: str):
 def agg_significant_bg_filter(sf_dir: str):
     """significant_terms with `background_filter`
     (SignificantTermsAggregationBuilder.backgroundFilter): the background
-    set is restricted to a filter (source in src0..src9) instead of the
-    whole index, and the foreground is its lang='zh' subset — term
-    df partials for both sets come from ONE pass, same JLH scoring."""
-    from collections import Counter
-
-    from ray.data.aggregate import Sum
-
-    from ..analyzer import analyze_simple
-
-    allowed = {f"src{i}" for i in range(10)}
-
-    def partial(t: pa.Table) -> pa.Table:
-        fg, bg = Counter(), Counter()
-        for lang, src, s in zip(t["lang"].to_pylist(),
-                                t["source"].to_pylist(),
-                                t["text"].to_pylist()):
-            if src not in allowed:
-                continue
-            terms = set(analyze_simple(s))
-            bg.update(terms)
-            if lang == "zh":
-                fg.update(terms)
-        allt = sorted(bg)
-        return pa.table({
-            "term": pa.array(allt, pa.string()),
-            "fg_df": pa.array([fg.get(x, 0) for x in allt], pa.int64()),
-            "bg_df": pa.array([bg[x] for x in allt], pa.int64())})
-
-    red = (_ds(sf_dir, "documents", ["lang", "source", "text"])
-           .map_batches(partial, batch_format="pyarrow")
-           .groupby("term")
-           .aggregate(Sum("fg_df", alias_name="fg_df"),
-                      Sum("bg_df", alias_name="bg_df"))
-           .to_pandas())
+    set is restricted to a filter (source in src0..src9, pushed into the
+    read) instead of the whole index, and the foreground is its lang='zh'
+    subset — term df partials for both sets come from ONE pass, same JLH
+    scoring."""
+    import pyarrow.compute as pc
     import pyarrow.dataset as pads
 
-    meta = pads.dataset(os.path.join(sf_dir, "documents.parquet")) \
-        .to_table(columns=["lang", "source"]).to_pandas()
-    meta = meta[meta["source"].isin(allowed)]
-    fg_n = int((meta["lang"] == "zh").sum())
+    allowed = pc.field("source").isin([f"src{i}" for i in range(10)])
+    red = count_terms(
+        _ds(sf_dir, "documents", ["lang", "source", "text"], flt=allowed),
+        analyze_simple, distinct=True, fg=_lang_is("zh"))
+    red = red.rename(columns={"cnt": "bg_df", "fg": "fg_df"})
+    meta = pads.dataset(os.path.join(sf_dir, "documents.parquet")).to_table(
+        columns=["lang"], filter=allowed)
+    fg_n = int((np.asarray(meta["lang"]) == "zh").sum())
     bg_n = len(meta)
     red = red[red.fg_df >= 3].copy()
     fgp = red.fg_df / fg_n
     bgp = red.bg_df / bg_n
     red["score"] = round_half_away((fgp - bgp) * (fgp / bgp), 6)
-    red["fg_df"] = red["fg_df"].astype("int64")
-    red["bg_df"] = red["bg_df"].astype("int64")
     red = red.sort_values(["score", "term"],
                           ascending=[False, True]).head(10)
     return red[["term", "fg_df", "bg_df", "score"]].reset_index(drop=True)
@@ -12842,30 +12557,13 @@ def ft_weighted_tokens(sf_dir: str):
     tokens = {"data": 0.9, "merge": 0.5, "slow": 0.1, "dup": 0.3}
     ratio_threshold, weight_threshold = 1.2, 0.4
 
-    import re
-
-    pat = re.compile(r"[^a-z0-9]+")
     terms = sorted(tokens)
-
-    def df_partial(t: pa.Table) -> pa.Table:
-        texts = t["text"].to_pylist()
-        counts = {w: 0 for w in terms}
-        for s in texts:
-            toks = set(pat.split(s.lower()))
-            for w in terms:
-                if w in toks:
-                    counts[w] += 1
-        return pa.table({"term": pa.array(terms),
-                         "df": pa.array([counts[w] for w in terms],
-                                        pa.int64()),
-                         "n": pa.array([len(texts)] * len(terms),
-                                       pa.int64())})
-
-    parts = (_ds(sf_dir, "documents", ["text"])
-             .map_batches(df_partial, batch_format="pyarrow")
-             .to_pandas().groupby("term").sum())
-    n_docs = float(parts["n"].iloc[0])  # every term row sums to total docs
-    ratios = {w: float(parts.loc[w, "df"]) / n_docs for w in terms}
+    docs = _ds(sf_dir, "documents", ["text"])
+    df = count_terms(docs, lambda s: [w for w in analyze_simple(s)
+                                      if w in tokens], distinct=True)
+    df = dict(zip(df["term"], df["cnt"].tolist()))
+    n_docs = float(docs.count())
+    ratios = {w: df.get(w, 0) / n_docs for w in terms}
     avg_ratio = sum(ratios.values()) / len(ratios)
     best_w = max(tokens.values())
     kept = [w for w in terms
@@ -13724,29 +13422,9 @@ def dsir_importance(sf_dir: str):
     top-k — the corpus never reshuffles. Per-term ratios snap to the
     1e-6 grid in BOTH engines before the per-doc sum, so the float dot
     product is reproducible."""
-    from ray.data.aggregate import Sum
-
-    def term_counts(t: pa.Table) -> pa.Table:
-        toks, is_en = [], []
-        for txt, lg in zip(t["text"].to_pylist(), t["lang"].to_pylist()):
-            ws = [w for w in txt.lower().split() if w]
-            toks.extend(ws)
-            is_en.extend([1 if lg == "en" else 0] * len(ws))
-        arr = np.array(toks)
-        en = np.array(is_en, np.int64)
-        uniq, inv = np.unique(arr, return_inverse=True)
-        tot = np.bincount(inv, minlength=uniq.size)
-        ten = np.bincount(inv, weights=en, minlength=uniq.size).astype(np.int64)
-        return pa.table({"term": pa.array(uniq),
-                         "c_raw": pa.array(tot, pa.int64()),
-                         "c_tgt": pa.array(ten, pa.int64())})
-
-    counts = (_ds(sf_dir, "documents", ["text", "lang"])
-              .map_batches(term_counts, batch_format="pyarrow")
-              .groupby("term")
-              .aggregate(Sum("c_raw", alias_name="c_raw"),
-                         Sum("c_tgt", alias_name="c_tgt"))
-              .to_pandas())
+    counts = count_terms(_ds(sf_dir, "documents", ["text", "lang"]),
+                         lambda s: s.lower().split(), fg=_lang_is("en"))
+    counts = counts.rename(columns={"cnt": "c_raw", "fg": "c_tgt"})
     vocab = counts["term"].to_numpy()
     c_raw = counts["c_raw"].to_numpy(np.float64)
     c_tgt = counts["c_tgt"].to_numpy(np.float64)
@@ -14115,32 +13793,19 @@ def ft_analyze_keyword_repeat(sf_dir: str):
     pair when stemming was a no-op. Output: top-10 indexed tokens by
     count. The oracle replays the same chain with the Porter-in-SQL
     pipeline (position-keyed UNION = per-position dedup)."""
-    from collections import Counter
-
-    from ray.data.aggregate import Sum
-
-    from ..analyzer import ENGLISH_STOP_WORDS, analyze_simple
+    from ..analyzer import ENGLISH_STOP_WORDS
     from ..filters import porter_stem
 
-    def partial(t: pa.Table) -> pa.Table:
-        c = Counter()
-        for s in t["text"].to_pylist():
-            for w in analyze_simple(s):
-                if w in ENGLISH_STOP_WORDS:
-                    continue
+    def repeat_stem(s: str) -> list[str]:
+        out = []
+        for w in analyze_simple(s):
+            if w not in ENGLISH_STOP_WORDS:
                 st = porter_stem(w)
-                c[w] += 1
-                if st != w:
-                    c[st] += 1
-        items = sorted(c)
-        return pa.table({"token": items,
-                         "cnt": pa.array([c[k] for k in items], pa.int64())})
+                out += (w,) if st == w else (w, st)
+        return out
 
-    out = (_ds(sf_dir, "documents", ["text"])
-           .map_batches(partial, batch_format="pyarrow")
-           .groupby("token").aggregate(Sum("cnt", alias_name="cnt"))
-           .to_pandas())
-    out["cnt"] = out["cnt"].astype(np.int64)
+    out = count_terms(_ds(sf_dir, "documents", ["text"]), repeat_stem,
+                      key="token")
     return (out.sort_values(["cnt", "token"], ascending=[False, True])
             .head(10).reset_index(drop=True))
 
@@ -14614,11 +14279,6 @@ def agg_significant_text_dedup(sf_dir: str):
     combiner, ONE key groupby — text rides the shuffle once); stage 2 =
     the ordinary JLH partials over the surviving set."""
     import hashlib
-    from collections import Counter
-
-    from ray.data.aggregate import Sum
-
-    from ..analyzer import analyze_simple
 
     def keyed(t: pa.Table) -> pa.Table:
         ks = [hashlib.sha256(" ".join(s.lower().split()).encode()).hexdigest()
@@ -14639,32 +14299,12 @@ def agg_significant_text_dedup(sf_dir: str):
     champions = (_ds(sf_dir, "documents", ["doc_id", "text"])
                  .map_batches(keyed, batch_format="pyarrow")
                  .map_batches(batch_pre, batch_format="pyarrow")
-                 .groupby("k").map_groups(champion, batch_format="pandas"))
-
-    def partial(t: pa.Table) -> pa.Table:
-        fg, bg = Counter(), Counter()
-        n = 0
-        for s in t["text"].to_pylist():
-            n += 1
-            terms = set(analyze_simple(s))
-            bg.update(terms)
-            if "data" in terms:
-                fg.update(terms)
-        allt = sorted(bg)
-        return pa.table({
-            "term": allt,
-            "fg_df": pa.array([fg.get(x, 0) for x in allt], pa.int64()),
-            "bg_df": pa.array([bg[x] for x in allt], pa.int64()),
-            "nn": pa.array([n] + [0] * (len(allt) - 1), pa.int64())
-            if allt else pa.array([], pa.int64())})
-
-    red = (champions.map_batches(partial, batch_format="pyarrow")
-           .groupby("term")
-           .aggregate(Sum("fg_df", alias_name="fg_df"),
-                      Sum("bg_df", alias_name="bg_df"),
-                      Sum("nn", alias_name="nn"))
-           .to_pandas())
-    bg_n = int(red["nn"].sum())
+                 .groupby("k").map_groups(champion, batch_format="pandas")
+                 .materialize())
+    red = count_terms(champions, analyze_simple, distinct=True,
+                      fg=_has_term("data")).rename(
+        columns={"cnt": "bg_df", "fg": "fg_df"})
+    bg_n = champions.count()
     fg_n = int(red.loc[red.term == "data", "fg_df"].iloc[0])
     red = red[red.fg_df >= 5].copy()
     fgp = red.fg_df / fg_n

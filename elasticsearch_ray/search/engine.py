@@ -801,7 +801,6 @@ class IndexSearcher:
         analyzer: str | None = None,
         cache_terms: int = 256,
         segments: list[str] | None = None,
-        wand_min_postings: int = 1 << 18,
         lazy: bool | None = None,
         main_field: str = "content",
         field_aliases: dict[str, str] | None = None,
@@ -835,7 +834,6 @@ class IndexSearcher:
         self.manifests = manifests
         # (sorted keys, df, ttf) installed by set_global_stats
         self._global_terms: tuple[np.ndarray, ...] | None = None
-        self.wand_min_postings = wand_min_postings
         if lazy is None:
             # auto: go disk-resident when the postings exceed ~256 MB
             from ..sources.reader import list_parquet_files

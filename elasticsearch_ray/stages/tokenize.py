@@ -38,6 +38,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ..analyzer import get_analyzer
+from ..functions.lm import count_batch
 from ..smallfloat import int_to_byte4
 from ..sources.reader import read_fragment
 
@@ -290,19 +291,17 @@ def sample_hot_terms(
     if not frags:
         return frozenset()
     stride = max(1, len(frags) // 8)
-    an = get_analyzer(analyzer)
-    df: dict[str, int] = {}
+    sampled: list[pa.Table] = []
     seen = 0
     for f in frags[::stride]:
         t = pq.ParquetFile(f.path).read_row_group(f.row_group, columns=[content_column])
-        for text in t[content_column].to_pylist()[: max(1, sample_docs // 8)]:
-            seen += 1
-            for term in set(an(text or "")):
-                df[term] = df.get(term, 0) + 1
-            if seen >= sample_docs:
-                break
+        sampled.append(t.slice(0, min(max(1, sample_docs // 8), sample_docs - seen)))
+        seen += sampled[-1].num_rows
         if seen >= sample_docs:
             break
+    df = count_batch(pa.concat_tables(sampled), get_analyzer(analyzer),
+                     content_column, distinct=True)
     cut = max(1.0, hot_df_ratio * seen)
-    hot = sorted(((c, t) for t, c in df.items() if c >= cut), reverse=True)[:max_hot]
+    hot = sorted(((c, t) for t, c in zip(df["term"].to_pylist(), df["cnt"].to_pylist())
+                  if c >= cut), reverse=True)[:max_hot]
     return frozenset(t for _, t in hot)

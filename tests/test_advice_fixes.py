@@ -7,6 +7,9 @@
 4. Dictionary prefix slices use chr(0x10FFFF), not U+FFFF, as the upper
    bound so supplementary-plane terms are expandable.
 5. foreach / sort_list handle sliced and null-bearing ListArrays.
+6. The incremental MinHash dedup falls back to per-id predicate calls when
+   the predicate raises on an id array.
+7. The SQL planner finds a FROM-subquery only outside string literals.
 """
 
 from __future__ import annotations
@@ -290,3 +293,58 @@ def test_expression_lang_script_evaluates():
     out = safe_eval_expr(src, {"v": np.array([1.0, 3.0]),
                                "where": np.where})
     assert out.tolist() == [20, 10]
+
+
+# ---------- 6. incremental near-dup predicate that raises on arrays ----------
+
+def test_minhash_new_ids_pred_scalar_fallback_on_raise(ray_session):
+    """`new_ids_pred` is tried on the whole id array first; a predicate
+    that raises there (set membership: numpy arrays are unhashable) must
+    fall back to per-id calls and give the vectorized predicate's pairs."""
+    import ray.data as rd
+
+    from elasticsearch_ray.functions.dedup import minhash_verified_pairs_ds
+
+    base = "the quick brown fox jumps over the lazy dog near the river bank"
+    texts = [base + f" tail{i % 3}" if i % 4 == 0 else
+             f"unique document number {i} with its own words w{i} x{i * 7}"
+             for i in range(40)]
+    ds = rd.from_arrow(pa.table({"doc_id": pa.array(range(40), pa.int64()),
+                                 "text": texts}))
+    new = {0, 12, 24}
+
+    def pairs(pred):
+        out = minhash_verified_pairs_ds(ds, threshold=0.5, num_perm=32,
+                                        bands=8, new_ids_pred=pred)
+        return sorted(map(tuple, out.to_pandas()[["doc_a", "doc_b"]]
+                          .to_numpy().tolist()))
+
+    want = pairs(lambda i: np.isin(i, sorted(new)))
+    assert want
+    assert pairs(lambda i: i in new) == want
+
+
+# ---------- 7. FROM ( inside a string literal is not a derived table ----------
+
+def test_sql_from_paren_inside_literal_is_not_a_subquery(ray_session):
+    import duckdb
+    import pandas as pd
+
+    from elasticsearch_ray.functions.sql import _extract_from_subquery, run_sql
+    from elasticsearch_ray.pipelines.ops import _ds
+
+    sf = "/root/testdata/sf0.001"
+    sql = ("SELECT event_type, COUNT(*) AS n FROM events "
+           "WHERE event_type <> 'from (select x)' "
+           "GROUP BY event_type ORDER BY event_type")
+    assert _extract_from_subquery(sql) is None
+    got = run_sql(sql, sf, ds_factory=_ds)
+    want = duckdb.sql(sql.replace(
+        "FROM events", f"FROM read_parquet('{sf}/events.parquet')")).df()
+    pd.testing.assert_frame_equal(got.reset_index(drop=True), want,
+                                  check_dtype=False)
+    # a real derived table after such a literal is still found
+    sub = _extract_from_subquery(
+        "SELECT n FROM (SELECT COUNT(*) AS n FROM events "
+        "WHERE event_type <> 'from (x)') AS t")
+    assert sub is not None and sub[1].startswith("SELECT COUNT(*)")

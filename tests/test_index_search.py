@@ -214,7 +214,7 @@ def test_wand_actually_prunes_on_skewed_tf(tmp_path, ray_session):
 
     # single-term routing goes to the impact-probe collector; the skewed
     # corpus must let it stop after the probe instead of decoding all blocks
-    s = IndexSearcher(idx, wand_min_postings=0)
+    s = IndexSearcher(idx)
     decoded = {"n": 0}
     orig = TermPostings.decode_block
 

@@ -15,7 +15,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(REPO, "tools"))
 sys.path.insert(0, REPO)
 
-from check_correctness import normalize, to_pandas  # noqa: E402
+from check_correctness import OverRowCap, normalize, to_pandas  # noqa: E402
 
 SF = "/root/testdata/sf0.001"
 
@@ -52,6 +52,18 @@ SMOKE = [
     "rollup_search", "agg_random_sampler",
     "ingest_fingerprint", "knn_similarity_threshold", "resolve_index",
     "corpus_vocab_growth", "cluster_stats",
+    # every gate counted by the shared tokenize-and-count kernel
+    # (functions/lm.py count_batch)
+    "top_terms", "corpus_zipf_slope", "agg_rare_terms",
+    "tokenizer_vocab_coverage", "ft_analyze_shingle", "ft_analyze_synonym",
+    "ft_analyze_keyword_repeat", "annotated_text_terms",
+    "agg_significant_text", "agg_significant_terms", "agg_significant_gnd",
+    "agg_significant_chi2", "agg_significant_mi",
+    "agg_significant_percentage", "agg_significant_script",
+    "agg_significant_bg_filter", "agg_significant_text_dedup",
+    "phrase_suggest", "ft_suggest_collate", "ft_weighted_tokens",
+    "dsir_importance", "lm_perplexity", "dsir_weights", "pmi_collocations",
+    "lm_ngram_counts", "lm_perplexity_bigram", "lm_perplexity_kn",
 ]
 
 
@@ -79,3 +91,13 @@ def test_oracle_smoke(name, oracle_env):
 
     pdt.assert_frame_equal(got, want, check_dtype=False,
                            check_exact=False, atol=1e-9)
+
+
+def test_to_pandas_row_cap(ray_session):
+    """The mirror reads a Dataset result through limit(cap + 1) and refuses
+    one over the cap instead of materializing it whole."""
+    import ray.data as rd
+
+    assert len(to_pandas(rd.range(10), cap=10)) == 10
+    with pytest.raises(OverRowCap):
+        to_pandas(rd.range(11), cap=10)

@@ -13,14 +13,29 @@ import numpy as np
 import pandas as pd
 
 
-def to_pandas(res) -> pd.DataFrame:
+# The largest gate result at sf0.1 is 150,000 rows (ingest_dissect_modifiers);
+# a result past the cap is a gate that forgot to reduce, not a comparison.
+ROW_CAP = 1_000_000
+
+
+class OverRowCap(Exception):
+    pass
+
+
+def to_pandas(res, cap: int = ROW_CAP) -> pd.DataFrame:
+    """Gate result -> pandas. A Dataset is read through limit(cap + 1), so
+    an oversized result never materializes whole on the driver."""
     import pyarrow as pa
 
     if isinstance(res, pd.DataFrame):
-        return res.reset_index(drop=True)
-    if isinstance(res, pa.Table):
-        return res.to_pandas()
-    return res.to_pandas()  # ray Dataset
+        df = res.reset_index(drop=True)
+    elif isinstance(res, pa.Table):
+        df = res.to_pandas()
+    else:
+        df = res.limit(cap + 1).to_pandas()  # ray Dataset
+    if len(df) > cap:
+        raise OverRowCap(f"over row cap ({cap:,} rows)")
+    return df
 
 
 def normalize(df: pd.DataFrame) -> pd.DataFrame:
@@ -70,6 +85,10 @@ def main():
         t0 = time.time()
         try:
             got = normalize(to_pandas(fn(sf_dir)))
+        except OverRowCap as ex:
+            print(f"FAIL  {name}: {ex}")
+            n_fail += 1
+            continue
         except Exception as ex:
             print(f"FAIL  {name}: query raised {type(ex).__name__}: {ex}")
             n_fail += 1
