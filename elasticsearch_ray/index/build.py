@@ -38,12 +38,17 @@ globally dense and deterministic (fragment offsets), so rebuilds are
 identical.
 
 Skew: hot terms (sampled Zipf head) are range-salted into per-chunk posting
-rows — see stages/tokenize.py docstring.
+rows — see stages/tokenize.py docstring. The hot-term set is fixed per index:
+the first build stores the set it uses in `<index>/hot_terms.json` before it
+submits any partition, and every later call (append, resume after a crash)
+reads it back instead of sampling again, so all segments salt the same terms.
+A `hot_terms=` argument still decides the set for its own call.
 """
 
 from __future__ import annotations
 
 import functools
+import json
 import os
 import time
 from collections.abc import Iterable
@@ -82,6 +87,9 @@ _DOCS_PER_BUCKET = 250_000 // 32
 
 # Fragments (row groups) per tokenize task.
 FRAGS_PER_TASK = 2
+
+# The index's hot-term set, written by its first build (index_hot_terms).
+HOT_TERMS_FILE = "hot_terms.json"
 
 
 def plan_partitions(
@@ -131,6 +139,42 @@ def split_by_bucket(t: pa.Table, buckets: np.ndarray, w: int):
     cuts = np.searchsorted(buckets[order], np.arange(w + 1))
     return tuple(t.slice(int(cuts[b]), int(cuts[b + 1] - cuts[b]))
                  for b in range(w))
+
+
+def stored_hot_terms(out_dir: str) -> frozenset[str] | None:
+    """The hot-term set stored by out_dir's first build, or None."""
+    path = os.path.join(out_dir, HOT_TERMS_FILE)
+    if not os.path.exists(path):
+        return None
+    with open(path) as f:
+        return frozenset(json.load(f)["terms"])
+
+
+def index_hot_terms(out_dir: str, hot_terms: frozenset[str] | None,
+                    sample) -> tuple[frozenset[str], str, float]:
+    """The hot-term set a build of out_dir uses, where it came from
+    ("caller", "index" or "sampled") and the seconds spent sampling.
+
+    An explicit `hot_terms` decides the call's set; otherwise the stored
+    set is read back; only an index without one calls `sample()`. The
+    first set used is stored (tmp + replace), so a build that crashes
+    before its first commit resumes with it."""
+    stored = stored_hot_terms(out_dir)
+    secs = 0.0
+    if hot_terms is not None:
+        source = "caller"
+    elif stored is not None:
+        hot_terms, source = stored, "index"
+    else:
+        t0 = time.perf_counter()
+        hot_terms, source = frozenset(sample()), "sampled"
+        secs = time.perf_counter() - t0
+    if stored is None:
+        path = os.path.join(out_dir, HOT_TERMS_FILE)
+        with open(path + ".tmp", "w") as f:
+            json.dump({"terms": sorted(hot_terms)}, f)
+        os.replace(path + ".tmp", path)
+    return hot_terms, source, secs
 
 
 @functools.cache
@@ -222,11 +266,14 @@ def build_index(
     frags = plan_fragments(input_path)
     pending = plan_partitions(frags, docs_per_partition,
                               committed_segments(out_dir).values())
-    if hot_terms is None:
-        hot_terms = sample_hot_terms(
+    if not pending:
+        if store_offsets_column is not None:
+            _write_offsets_sidecar(input_path, out_dir, store_offsets_column)
+        return index_stats(out_dir)
+    hot_terms, hot_from, hot_s = index_hot_terms(
+        out_dir, hot_terms, lambda: sample_hot_terms(
             input_path, analyzer=analyzer, hot_df_ratio=hot_df_ratio,
-            content_column=content_column,
-        )
+            content_column=content_column))
     # range-salt chunk size: hot terms split into ~salt_chunks ranges/partition
     chunk_range = max(1, docs_per_partition // salt_chunks)
     ncpu = int(ray.cluster_resources().get("CPU", 8))
@@ -316,6 +363,8 @@ def build_index(
             "docs_per_sec": manifest.doc_count / max(manifest.build_seconds, 1e-9),
             "buckets": width, "tokenize_tasks": n_tok,
             "encode_s": sum(r[4] for r in results),
+            "hot_terms": len(hot_terms), "hot_terms_from": hot_from,
+            "hot_terms_s": hot_s,
         })
         if verbose:
             print(f"[build] {seg_id}: {manifest.doc_count} docs, "

@@ -492,40 +492,60 @@ def compile_painless(source: str) -> str:
         src = src[len("return "):]
     src = re.sub(r"doc\[\s*['\"]([A-Za-z_][\w.]*)['\"]\s*\]\.value",
                  r"\1", src)
-    src = src.replace("&&", " and ").replace("||", " or ")
-    # Painless `!cond` -> `not cond` (but leave `!=` alone)
-    src = re.sub(r"!(?!=)", " not ", src)
-    # Painless boolean literals
-    src = re.sub(r"\btrue\b", "True", src)
-    src = re.sub(r"\bfalse\b", "False", src)
-    # `new ArrayList()` / `new HashMap()` -> plain constructor calls
-    # (resolved via the _CTORS whitelist at eval time)
-    src = re.sub(r"\bnew\s+([A-Za-z_]\w*)\s*\(", r"\1(", src)
+
+    def rewrite(code: str) -> str:
+        code = code.replace("&&", " and ").replace("||", " or ")
+        # Painless `!cond` -> `not cond` (but leave `!=` alone)
+        code = re.sub(r"!(?!=)", " not ", code)
+        # Painless boolean literals
+        code = re.sub(r"\btrue\b", "True", code)
+        code = re.sub(r"\bfalse\b", "False", code)
+        # `new ArrayList()` / `new HashMap()` -> plain constructor calls
+        # (resolved via the _CTORS whitelist at eval time)
+        return re.sub(r"\bnew\s+([A-Za-z_]\w*)\s*\(", r"\1(", code)
+
+    # string literals keep their text: 'true' stays a string, not True
+    src = "".join(run if quoted else rewrite(run)
+                  for run, quoted in _literal_runs(src))
     return _rewrite_ternary(src).strip()
+
+
+def _literal_runs(src: str) -> list[tuple[str, bool]]:
+    """src cut into (text, quoted) runs in order: each quoted run is one
+    string literal with its quotes (a backslash escapes the closing
+    quote); an unterminated literal runs to the end."""
+    out: list[tuple[str, bool]] = []
+    start, inq = 0, None
+    for i, ch in enumerate(src):
+        if inq:
+            if ch == inq and src[i - 1] != "\\":
+                out.append((src[start:i + 1], True))
+                start, inq = i + 1, None
+        elif ch in "'\"":
+            if i > start:
+                out.append((src[start:i], False))
+            start, inq = i, ch
+    if start < len(src):
+        out.append((src[start:], inq is not None))
+    return out
 
 
 def _split_statements(src: str) -> list[str]:
     """Split on top-level ';' (quote- and paren-aware)."""
     out, buf, depth = [], [], 0
-    inq: str | None = None
-    for ch in src:
-        if inq:
-            buf.append(ch)
-            if ch == inq and (len(buf) < 2 or buf[-2] != "\\"):
-                inq = None
-        elif ch in "'\"":
-            inq = ch
-            buf.append(ch)
-        elif ch in "([":
-            depth += 1
-            buf.append(ch)
-        elif ch in ")]":
-            depth -= 1
-            buf.append(ch)
-        elif ch == ";" and depth == 0:
-            out.append("".join(buf).strip())
-            buf = []
-        else:
+    for run, quoted in _literal_runs(src):
+        if quoted:
+            buf.append(run)
+            continue
+        for ch in run:
+            if ch in "([":
+                depth += 1
+            elif ch in ")]":
+                depth -= 1
+            elif ch == ";" and depth == 0:
+                out.append("".join(buf).strip())
+                buf = []
+                continue
             buf.append(ch)
     tail = "".join(buf).strip()
     if tail:
@@ -1005,18 +1025,20 @@ def _exec_block(stmts: list, scope: dict, mask, state: dict,
                     raise ScriptError("for-each needs a list value")
                 if name in scope:
                     raise ScriptError(f"variable '{name}' already declared")
-                local_names.append(name)
                 ctx = {"broken": None, "continued": None}
                 base = act
-                for item in items:
-                    a = _mand(base, _mnot(state["returned"])
-                              if state["returned"] is not None else None)
-                    a = _mminus(a, ctx["broken"])
-                    if not _many(a):
-                        break
-                    ctx["continued"] = None
-                    scope[name] = item
-                    _exec_block(body, scope, a, state, ctx)
+                try:  # the loop variable is scoped to the loop
+                    for item in items:
+                        a = _mand(base, _mnot(state["returned"])
+                                  if state["returned"] is not None else None)
+                        a = _mminus(a, ctx["broken"])
+                        if not _many(a):
+                            break
+                        ctx["continued"] = None
+                        scope[name] = item
+                        _exec_block(body, scope, a, state, ctx)
+                finally:
+                    scope.pop(name, None)
             elif tag == "block":
                 _exec_block(st[1], scope, act, state, loop)
             else:  # pragma: no cover

@@ -10,6 +10,9 @@
 6. The incremental MinHash dedup falls back to per-id predicate calls when
    the predicate raises on an id array.
 7. The SQL planner finds a FROM-subquery only outside string literals.
+8. compile_painless rewrites operators, booleans and `new X(` only outside
+   string literals.
+9. A Painless for-each variable goes out of scope when its loop ends.
 """
 
 from __future__ import annotations
@@ -348,3 +351,44 @@ def test_sql_from_paren_inside_literal_is_not_a_subquery(ray_session):
         "SELECT n FROM (SELECT COUNT(*) AS n FROM events "
         "WHERE event_type <> 'from (x)') AS t")
     assert sub is not None and sub[1].startswith("SELECT COUNT(*)")
+
+
+# ---------- 8. Painless rewrites leave string literals alone ----------
+
+def test_painless_rewrites_skip_string_literals():
+    from elasticsearch_ray.scripting import (
+        compile_painless, compile_painless_script, safe_eval_script)
+
+    assert compile_painless("doc['status'].value == 'true'") == "status == 'true'"
+    assert compile_painless("doc['s'].value == 'new Foo('") == "s == 'new Foo('"
+    assert compile_painless('x == "a && !b || false"') == 'x == "a && !b || false"'
+    # outside the literals the rewrites still apply
+    assert compile_painless("!a && 'x' == 'false' || true") == \
+        "not a  and  'x' == 'false'  or  True"
+    env = {"status": np.array(["true", "false", "True"], dtype=object),
+           "params": {}, "where": np.where}
+    out = safe_eval_expr(compile_painless("doc['status'].value == 'true'"), env)
+    assert list(out) == [True, False, False]
+    st = compile_painless_script(
+        "def s = 'x;true'; return doc['status'].value == 'true' ? s : 'new A('")
+    assert list(safe_eval_script(st, env)) == ["x;true", "new A(", "new A("]
+
+
+# ---------- 9. a for-each variable is scoped to its loop ----------
+
+def test_painless_foreach_variable_scoped_to_loop():
+    from elasticsearch_ray.scripting import compile_painless_script, safe_eval_script
+
+    env = {"params": {"a": [1, 2], "b": [10]}}
+    st = compile_painless_script(
+        "def s = 0; for (x : params.a) { s += x; } "
+        "for (x : params.b) { s += x; } return s")
+    assert safe_eval_script(st, env) == 13
+    st = compile_painless_script(
+        "def s = 0; for (x : params.a) { s += x; } return x")
+    with pytest.raises(ScriptError, match="unknown name 'x'"):
+        safe_eval_script(st, env)
+    # the name is free again after the loop
+    st = compile_painless_script(
+        "for (x : params.a) { } def x = 5; return x")
+    assert safe_eval_script(st, env) == 5

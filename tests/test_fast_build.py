@@ -276,6 +276,30 @@ def test_partition_width_follows_cluster(corpus_1500, tmp_path):
     assert rec["buckets"] == 4
     assert rec["tokenize_tasks"] == 8  # 15 row groups, 2 per task
     assert rec["encode_s"] > 0
+    assert (rec["hot_terms"], rec["hot_terms_from"], rec["hot_terms_s"]) == \
+        (2, "caller", 0.0)
+
+
+def test_rerun_with_nothing_pending_samples_and_submits_nothing(
+        corpus_dir, tmp_path, monkeypatch):
+    """A rerun over a complete index returns its stats without sampling a
+    hot-term set, submitting a Ray task or logging a partition."""
+    import elasticsearch_ray.index.build as B
+
+    d = str(tmp_path / "idx")
+    first = build_index(corpus_dir, d, docs_per_partition=400, num_buckets=4)
+    with open(os.path.join(d, "build_log.jsonl")) as f:
+        log = f.read()
+
+    def fail(*a, **k):
+        raise AssertionError("nothing is pending")
+
+    monkeypatch.setattr(B, "sample_hot_terms", fail)
+    monkeypatch.setattr(B, "remote", fail)
+    again = build_index(corpus_dir, d, docs_per_partition=400, num_buckets=4)
+    assert (again.doc_count, again.sum_doc_len) == (first.doc_count, first.sum_doc_len)
+    with open(os.path.join(d, "build_log.jsonl")) as f:
+        assert f.read() == log
 
 
 def test_append_after_part_full_partition(tmp_path):

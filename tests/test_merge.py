@@ -4,6 +4,7 @@ segment; merged manifests carry lineage."""
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 
@@ -302,24 +303,26 @@ def _assert_same_results(idx_a, idx_b):
 
 def test_merge_of_builds_with_different_hot_sets_equals_one_build(tmp_path):
     """merge(2 segments) == build(concat) when the two segments were built
-    by separate calls whose sampled hot-term sets differ: `tree` is in every
-    8th doc of the first file and every 100th of the second, so the first
-    call samples it hot and stores it in eight salt chunks, the second
-    stores it as one chunk-0 row, and the merge must not fuse that row with
-    the first segment's chunk 0."""
+    by separate calls with different sampled hot-term sets: `tree` is in
+    every 8th doc of the first file and every 100th of the second, so the
+    first call's sample has it hot and stores it in eight salt chunks, the
+    second's does not and stores it as one chunk-0 row, and the merge must
+    not fuse that row with the first segment's chunk 0. Each call is given
+    its own sample, since an index otherwise keeps its first set."""
     from elasticsearch_ray.stages.tokenize import sample_hot_terms
 
     src = tmp_path / "src"
     _write_parts(src, (8, 100))
-    assert "tree" in sample_hot_terms(str(src / "part-00000.parquet"))
-    assert "tree" not in sample_hot_terms(str(src))
-
     appended, whole = str(tmp_path / "appended"), str(tmp_path / "whole")
     hidden = str(tmp_path / "hidden.parquet")
     os.rename(str(src / "part-00001.parquet"), hidden)
-    build_index(str(src), appended, docs_per_partition=400)
+    first = sample_hot_terms(str(src))
+    build_index(str(src), appended, docs_per_partition=400, hot_terms=first)
     os.rename(hidden, str(src / "part-00001.parquet"))
-    build_index(str(src), appended, docs_per_partition=400)
+    second = sample_hot_terms(str(src))
+    build_index(str(src), appended, docs_per_partition=400, hot_terms=second)
+    assert "tree" in first and "tree" not in second
+    assert first != second
     assert len(live_segments(committed_segments(appended))) == 2
     build_index(str(src), whole, docs_per_partition=800)
 
@@ -328,6 +331,106 @@ def test_merge_of_builds_with_different_hot_sets_equals_one_build(tmp_path):
     _assert_same_results(appended, whole)
     ids, _ = IndexSearcher(appended).search(_TREE_QUERIES[0])
     assert len(ids) == 50 + 4
+
+
+def _build_log(index_dir):
+    with open(os.path.join(index_dir, "build_log.jsonl")) as f:
+        return [json.loads(line) for line in f]
+
+
+def _postings_rows(index_dir):
+    cols = ["term", "chunk", "doc_bytes", "tf_bytes", "pos_bytes"]
+    return sorted((sid, *r.values()) for sid in committed_segments(index_dir)
+                  for r in pads.dataset(os.path.join(index_dir, sid, "postings"))
+                  .to_table(columns=cols).to_pylist())
+
+
+def _salt_chunks(index_dir, seg_id, term):
+    t = pads.dataset(os.path.join(index_dir, seg_id, "postings")).to_table()
+    return {c for w, c in zip(t["term"].to_pylist(), t["chunk"].to_pylist())
+            if w == term}
+
+
+def test_append_reuses_the_index_hot_set(tmp_path, monkeypatch):
+    """An append to an index first built with hot_terms=None reads the set
+    stored by that build instead of sampling: it salts the base's hot
+    `tree` although the new file alone would not make it hot, and the index
+    answers like a one-shot build with that set, before and after a merge."""
+    import elasticsearch_ray.index.build as B
+
+    src = tmp_path / "src"
+    _write_parts(src, (8, 100))
+    idx, whole = str(tmp_path / "idx"), str(tmp_path / "whole")
+    hidden = str(tmp_path / "hidden.parquet")
+    os.rename(str(src / "part-00001.parquet"), hidden)
+    build_index(str(src), idx, docs_per_partition=400)
+    hot = B.stored_hot_terms(idx)
+    assert "tree" in hot
+
+    os.rename(hidden, str(src / "part-00001.parquet"))
+
+    def no_sampling(*a, **k):
+        raise AssertionError("sample_hot_terms called on an append")
+
+    monkeypatch.setattr(B, "sample_hot_terms", no_sampling)
+    build_index(str(src), idx, docs_per_partition=400)
+    assert len(_salt_chunks(idx, "seg_000000000400", "tree")) > 1
+    assert [(r["hot_terms"], r["hot_terms_from"]) for r in _build_log(idx)] == \
+        [(len(hot), "sampled"), (len(hot), "index")]
+    assert _build_log(idx)[1]["hot_terms_s"] == 0.0
+
+    build_index(str(src), whole, docs_per_partition=800, hot_terms=hot)
+    _assert_same_results(idx, whole)
+    force_merge(idx)
+    _assert_same_results(idx, whole)
+
+
+@pytest.mark.parametrize("after_commit", [False, True])
+def test_resume_reuses_the_index_hot_set(tmp_path, after_commit):
+    """A first build killed at a commit (before it, or after the first
+    segment's) resumes with the set it stored, even once the inputs'
+    sampled head has changed, and equals a clean build with that set."""
+    import elasticsearch_ray.index.build as B
+    from elasticsearch_ray.stages.tokenize import sample_hot_terms
+
+    src = tmp_path / "src"
+    _write_parts(src, (8, 8))
+    hot = sample_hot_terms(str(src))
+    assert "tree" in hot
+    idx, clean = str(tmp_path / "idx"), str(tmp_path / "clean")
+
+    class Boom(RuntimeError):
+        pass
+
+    orig = B.commit_segment
+
+    def bomb(out_dir, seg_id, manifest):
+        if after_commit:
+            orig(out_dir, seg_id, manifest)
+        raise Boom()
+
+    B.commit_segment = bomb
+    try:
+        with pytest.raises(Boom):
+            build_index(str(src), idx, docs_per_partition=400)
+    finally:
+        B.commit_segment = orig
+    assert len(committed_segments(idx)) == int(after_commit)
+
+    # the second file's `tree` turns rare: a new sample no longer has it
+    shutil.rmtree(src)
+    _write_parts(src, (8, 100))
+    assert "tree" not in sample_hot_terms(str(src))
+    build_index(str(src), idx, docs_per_partition=400)
+    # the killed call logged nothing: every record is the resume's
+    assert [r["hot_terms_from"] for r in _build_log(idx)] == \
+        ["index"] * (2 - after_commit)
+    assert len(_salt_chunks(idx, "seg_000000000400", "tree")) > 1
+
+    build_index(str(src), clean, docs_per_partition=400, hot_terms=hot)
+    assert B.stored_hot_terms(idx) == B.stored_hot_terms(clean) == hot
+    assert _postings_rows(idx) == _postings_rows(clean)
+    _assert_same_results(idx, clean)
 
 
 def test_merge_fuses_only_doc_adjacent_rows(tmp_path):

@@ -8,9 +8,11 @@
    committed segment (manifest presence = checkpoint) and rebuilds only
    the rest, clearing orphaned tmp dirs first;
 3. build a CLEAN one-shot index of the same corpus and assert the resumed
-   index is identical -- same committed segment ids, same per-segment
-   manifests (doc ranges / counts / term counts), and rank-identical BM25
-   top-k docIDs AND scores over the full reference query set.
+   index is identical -- the same stored hot-term set (the resume reads
+   the killed build's instead of sampling), same committed segment ids,
+   same per-segment manifests (doc ranges / counts / term counts), and
+   rank-identical BM25 top-k docIDs AND scores over the full reference
+   query set.
 
 Prints one JSON line of evidence; recorded in SCALE.md.
 
@@ -88,7 +90,7 @@ def main() -> None:
 
     ray.init(address="local", num_cpus=16, include_dashboard=False,
              logging_level="ERROR")
-    from elasticsearch_ray.index.build import build_index
+    from elasticsearch_ray.index.build import build_index, stored_hot_terms
     from elasticsearch_ray.index.manifest import committed_segments
 
     t0 = time.time()
@@ -101,6 +103,9 @@ def main() -> None:
     build_index(corpus, idx_clean, docs_per_partition=10_000,
                 num_buckets=32)
     t_clean = time.time() - t0
+
+    hot_r, hot_c = stored_hot_terms(idx_killed), stored_hot_terms(idx_clean)
+    assert hot_r is not None and hot_r == hot_c, "stored hot-term sets differ"
 
     segs_r = committed_segments(idx_killed)
     segs_c = committed_segments(idx_clean)
@@ -131,6 +136,7 @@ def main() -> None:
         "tmp_orphans_at_crash": tmp_orphans,
         "resume_wall_s": round(t_resume, 2),
         "clean_build_wall_s": round(t_clean, 2),
+        "hot_terms_stored": len(hot_c),
         "queries_rank_and_score_identical": n_q,
     }))
     ray.shutdown()
