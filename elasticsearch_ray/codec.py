@@ -69,18 +69,83 @@ def varbyte_decode(data: bytes | np.ndarray, count: int | None = None) -> np.nda
     ends = np.flatnonzero(buf < 128)
     if ends.size == 0 or ends[-1] != buf.size - 1:
         raise ValueError("corrupt varbyte stream: trailing continuation byte")
+    out = _decode_terminated(buf, ends)
+    if count is not None and out.size != count:
+        raise ValueError(f"decoded {out.size} values, expected {count}")
+    return out
+
+
+def varbyte_decode_rows(buf: np.ndarray, byte_ends: np.ndarray,
+                        counts: np.ndarray) -> np.ndarray:
+    """Decode concatenated per-row varint streams in one pass -> uint64.
+
+    Row i is buf[byte_ends[i-1]:byte_ends[i]] (row 0 starts at 0) and must
+    hold exactly counts[i] values. Each row is checked as `varbyte_decode`
+    checks one stream: it may not end inside a varint, even when the next
+    row's bytes would complete it, and its value count must match."""
+    buf = np.frombuffer(buf, dtype=np.uint8) if not isinstance(buf, np.ndarray) else buf
+    byte_ends = np.asarray(byte_ends, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    if byte_ends.size != counts.size:
+        raise ValueError(f"{byte_ends.size} row ends for {counts.size} counts")
+    if byte_ends.size == 0:
+        if buf.size:
+            raise ValueError(f"{buf.size} bytes outside any row")
+        return np.empty(0, dtype=np.uint64)
+    if int(byte_ends[-1]) != buf.size:
+        raise ValueError(f"rows end at byte {int(byte_ends[-1])} of a "
+                         f"{buf.size}-byte buffer")
+    starts = np.concatenate([[0], byte_ends[:-1]])
+    if (byte_ends < starts).any():
+        raise ValueError("row byte ends are not ascending")
+    filled = byte_ends > starts
+    bad = np.flatnonzero(buf[byte_ends[filled] - 1] >= 128)
+    if bad.size:
+        row = int(np.flatnonzero(filled)[bad[0]])
+        raise ValueError(
+            f"corrupt varbyte stream: row {row} ends in a continuation byte")
+    ends = np.flatnonzero(buf < 128)
+    # values per row = terminators before its end minus those before its start
+    got = np.searchsorted(ends, byte_ends)
+    got[1:] -= got[:-1].copy()
+    bad = np.flatnonzero(got != counts)
+    if bad.size:
+        row = int(bad[0])
+        raise ValueError(f"row {row}: decoded {int(got[row])} values, "
+                         f"expected {int(counts[row])}")
+    if ends.size == 0:
+        return np.empty(0, dtype=np.uint64)
+    return _decode_terminated(buf, ends)
+
+
+def _decode_terminated(buf: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Values of a stream whose terminator bytes sit at `ends` (the last
+    byte of buf is one of them)."""
     starts = np.empty_like(ends)
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
     lengths = ends - starts + 1
-    out = np.zeros(ends.shape, dtype=np.uint64)
-    maxb = int(lengths.max())
-    for j in range(maxb):
-        mask = lengths > j
-        out[mask] |= (buf[starts[mask] + j].astype(np.uint64) & np.uint64(0x7F)) << np.uint64(7 * j)
-    if count is not None and out.size != count:
-        raise ValueError(f"decoded {out.size} values, expected {count}")
+    out = (buf[starts] & np.uint8(0x7F)).astype(np.uint64)
+    # byte j of the values that have one: the index set shrinks each round
+    idx = np.flatnonzero(lengths > 1)
+    j = 1
+    while idx.size:
+        out[idx] |= (buf[starts[idx] + j].astype(np.uint64) & np.uint64(0x7F)) << np.uint64(7 * j)
+        j += 1
+        idx = idx[lengths[idx] > j]
     return out
+
+
+def segmented_cumsum(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """int64 running sums of `values` that restart at every segment: the
+    first counts[0] values are one segment, the next counts[1] the next, and
+    so on (the delta base of a postings row or of a doc's positions)."""
+    counts = np.asarray(counts, dtype=np.int64)
+    tot = np.cumsum(values, dtype=np.int64)
+    if counts.size > 1:
+        before = np.concatenate([[0], tot])[np.cumsum(counts) - counts]
+        tot -= np.repeat(before, counts)
+    return tot
 
 
 def delta_encode(sorted_values: np.ndarray) -> np.ndarray:

@@ -326,7 +326,10 @@ def fit_unigram_tokenizer(ds, *, vocab_size: int = 200, max_piece_len: int = 6,
     2. EM x `em_iters`: E-step = per-batch Viterbi piece counts with
        the model broadcast once per iteration (ray.put); M-step =
        normalize; then prune the lowest-probability multi-char pieces
-       (at most `prune_fraction` per round) until `vocab_size` remains.
+       (at most `prune_fraction` per round) toward `vocab_size`;
+    3. after the last round, prune the rest of the way: the result holds
+       at most max(vocab_size, number of distinct characters) pieces,
+       every single character included.
     Deterministic: no sampling anywhere; ties break lexicographically.
     """
     import math
@@ -395,18 +398,24 @@ def fit_unigram_tokenizer(ds, *, vocab_size: int = 200, max_piece_len: int = 6,
         logp = {p: used.get(p, floor if len(p) == 1 else None)
                 for p in logp}
         logp = {p: v for p, v in logp.items() if v is not None}
-        # prune lowest multi-char pieces toward vocab_size
-        n_multi = sum(1 for p in logp if len(p) > 1)
-        n_chars = len(logp) - n_multi
-        target_multi = max(0, vocab_size - n_chars)
-        if n_multi > target_multi:
-            drop = min(n_multi - target_multi,
-                       max(1, int(n_multi * prune_fraction)))
-            ranked = sorted((p for p in logp if len(p) > 1),
-                            key=lambda p: (logp[p], p))
-            for p in ranked[:drop]:
-                del logp[p]
+        _prune_pieces(logp, vocab_size, prune_fraction)
+    # the rounds prune at most prune_fraction each: finish the cut
+    _prune_pieces(logp, vocab_size, None)
     return logp
+
+
+def _prune_pieces(logp: dict, vocab_size: int, fraction: float | None) -> None:
+    """Drop the lowest-logprob multi-char pieces (ties: lexicographic)
+    toward `vocab_size` pieces in all, at most `fraction` of them when
+    given; single characters always stay."""
+    multi = [p for p in logp if len(p) > 1]
+    target = max(0, vocab_size - (len(logp) - len(multi)))
+    drop = len(multi) - target
+    if fraction is not None:
+        drop = min(drop, max(1, int(len(multi) * fraction)))
+    if drop > 0:
+        for p in sorted(multi, key=lambda p: (logp[p], p))[:drop]:
+            del logp[p]
 
 
 class UnigramEncodeStage:

@@ -35,88 +35,193 @@ plus "k" (top-k, default 10) and optional "boost" per clause.
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.dataset as pads
 
 from ..analyzer import get_analyzer
-from ..codec import varbyte_decode
+from ..codec import BLOCK_SIZE, segmented_cumsum, varbyte_decode_rows
 from ..index.manifest import committed_segments, live_segments
 from .similarity import BM25
 
 
-class TermPostings:
-    """One term's postings across segments/chunks, with LAZY block decode.
+# Columns of a postings table that the searcher reads. The three byte
+# streams are Arrow binary columns, the skip columns int lists; both come as
+# (row offsets, flat values) NumPy views.
+_STREAMS = ("doc_bytes", "tf_bytes", "pos_bytes")
+_SKIPS = ("skip_last_doc", "skip_doc_off", "skip_tf_off", "skip_max_tf",
+          "skip_min_norm")
+_POSTINGS_COLUMNS = ("df",) + _STREAMS + _SKIPS
 
-    Rows (one per (segment, salt-chunk)) cover disjoint, ordered doc_id
-    ranges, so their block sequences concatenate into one global block view:
-    `block_last_doc` / `block_max_tf` / `block_min_norm` index it directly —
-    the block-max WAND scorer walks these without decoding, and decodes
-    single 128-doc blocks on demand via the skip offsets."""
+
+class _PostingsColumns:
+    """One postings table as flat NumPy arrays, zero-copy over its Arrow
+    buffers: `df`, and per stream and skip column its row offsets
+    (`offsets[name]`, rows+1 entries) and flat values (`values[name]`).
+    Row i of column `name` is values[name][offsets[name][i]:offsets[name][i+1]]."""
+
+    __slots__ = ("df", "offsets", "values")
+
+    def __init__(self, table: pa.Table):
+        def array(name):
+            col = table[name]
+            return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+
+        self.df = array("df").to_numpy()
+        self.offsets: dict[str, np.ndarray] = {}
+        self.values: dict[str, np.ndarray] = {}
+        for name in _STREAMS + _SKIPS:
+            arr = array(name)
+            if name in _STREAMS:
+                _, offsets, data = arr.buffers()
+                width = np.int64 if pa.types.is_large_binary(arr.type) else np.int32
+                self.offsets[name] = np.frombuffer(offsets, width)[
+                    arr.offset:arr.offset + len(arr) + 1]
+                self.values[name] = (np.frombuffer(data, np.uint8) if data is not None
+                                     else np.empty(0, np.uint8))
+            else:
+                self.offsets[name] = arr.offsets.to_numpy()
+                self.values[name] = arr.values.to_numpy()
+
+
+def _gather(rows: list[tuple[_PostingsColumns, int]], name: str):
+    """Column `name` of `rows` ((columns, row index) pairs), concatenated in
+    order -> (flat values, per-row end offsets into them)."""
+    parts = []
+    for c, s in rows:
+        o = c.offsets[name]
+        parts.append(c.values[name][o[s]:o[s + 1]])
+    return np.concatenate(parts), np.cumsum([p.size for p in parts])
+
+
+def _first_values(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The first varint of each byte range [starts[i], ends[i]) of data."""
+    if (ends <= starts).any():
+        raise ValueError("empty postings row")
+    b = data[starts]
+    out = (b & np.uint8(0x7F)).astype(np.uint64)
+    idx = np.flatnonzero(b >= 128)
+    j = 1
+    while idx.size:
+        at = starts[idx] + j
+        if j == 9 or (at >= ends[idx]).any():
+            raise ValueError("corrupt varbyte stream: a postings row does not "
+                             "start with a whole varint")
+        b = data[at]
+        out[idx] |= (b & np.uint8(0x7F)).astype(np.uint64) << np.uint64(7 * j)
+        idx = idx[b >= 128]
+        j += 1
+    return out
+
+
+class TermPostings:
+    """One term's postings across segments and salt chunks, decoded lazily.
+
+    The term's postings rows (one per (segment, salt chunk)) stay in their
+    segments' flat columns: `rows` holds (columns, row index) pairs sorted
+    by first doc, and `row_df` their dfs. The rows cover disjoint, ordered
+    doc ranges (checked here: overlapping rows raise), so their streams
+    concatenate into one doc-ordered posting list — decoded with one
+    `varbyte_decode_rows` call per stream — and their block sequences into
+    one global block view: `block_last_doc` / `block_max_tf` /
+    `block_min_norm` index it directly. The block-max WAND scorer walks
+    these without decoding, and decodes single 128-doc blocks on demand via
+    the skip offsets. `counters` (the searcher's) counts decode calls."""
 
     __slots__ = (
-        "term", "df", "rows", "block_last_doc", "block_max_tf", "block_min_norm",
-        "_row_of_block", "_block_in_row", "_full", "_block_cache", "_pos_cache",
-        "_pos_cache_elems", "_pos_merged",
+        "term", "df", "rows", "row_df", "_counters", "_blocks", "_full",
+        "_block_cache", "_pos_merged", "_pos_cache_elems",
     )
 
-    def __init__(self, term: str, rows: list[dict]):
-        # rows: raw postings rows (dicts), any order; sort by first doc id
-        def first_doc(r):
-            buf = np.frombuffer(r["doc_bytes"], np.uint8)
-            # decode just the first varint (first delta = doc0 + 1)
-            v, shift, i = 0, 0, 0
-            while True:
-                b = int(buf[i])
-                v |= (b & 0x7F) << shift
-                if b < 128:
-                    break
-                shift += 7
-                i += 1
-            return v - 1
-
-        keyed = sorted(((first_doc(r), r) for r in rows), key=lambda fr: fr[0])
-        rows = [r for _, r in keyed]
-        for (_, prev), (first, _) in zip(keyed, keyed[1:]):
-            if first <= prev["skip_last_doc"][-1]:
+    def __init__(self, term: str, pieces: list[tuple[_PostingsColumns, np.ndarray]],
+                 counters: Counter | None = None):
+        rows = [(c, s) for c, r in pieces for s in r.tolist()]
+        if len(rows) > 1:
+            first, last = [], []
+            for c, r in pieces:
+                o = c.offsets["doc_bytes"]
+                # the first doc delta is doc0 + 1
+                first.append(_first_values(c.values["doc_bytes"], o[r], o[r + 1]))
+                last.append(c.values["skip_last_doc"][c.offsets["skip_last_doc"][r + 1] - 1])
+            first = np.concatenate(first).astype(np.int64) - 1
+            order = np.argsort(first, kind="stable")
+            first, last = first[order], np.concatenate(last)[order]
+            overlap = np.flatnonzero(first[1:] <= last[:-1])
+            if overlap.size:
+                i = int(overlap[0])
                 raise ValueError(
                     f"postings rows of term {term!r} overlap: a row starting "
-                    f"at doc {first} begins at or before the previous row's "
-                    f"last doc {prev['skip_last_doc'][-1]}")
+                    f"at doc {int(first[i + 1])} begins at or before the "
+                    f"previous row's last doc {int(last[i])}")
+            rows = [rows[i] for i in order.tolist()]
         self.term = term
         self.rows = rows
-        self.df = int(sum(r["df"] for r in rows))
-        bl, bmt, bmn, rob, bir = [], [], [], [], []
-        for ri, r in enumerate(rows):
-            sld = np.asarray(r["skip_last_doc"], dtype=np.int64)
-            bl.append(sld)
-            bmt.append(np.asarray(r["skip_max_tf"], dtype=np.int64))
-            bmn.append(np.asarray(r["skip_min_norm"], dtype=np.int64))
-            rob.append(np.full(sld.size, ri, dtype=np.int32))
-            bir.append(np.arange(sld.size, dtype=np.int32))
-        self.block_last_doc = np.concatenate(bl)
-        self.block_max_tf = np.concatenate(bmt)
-        self.block_min_norm = np.concatenate(bmn)
-        self._row_of_block = np.concatenate(rob)
-        self._block_in_row = np.concatenate(bir)
+        self.row_df = np.array([c.df[s] for c, s in rows], np.int64)
+        self.df = int(self.row_df.sum())
+        self._counters = Counter() if counters is None else counters
+        self._blocks: tuple[np.ndarray, ...] | None = None
         self._full: tuple[np.ndarray, np.ndarray] | None = None
         self._block_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._pos_cache: dict[int, tuple] = {}  # row idx -> decoded positions
-        self._pos_cache_elems = 0  # total cached position count (budget)
+        self._pos_merged = None  # _merged_positions: its cache, or False
+        self._pos_cache_elems = 0  # cached position count (searcher budget)
+
+    def _row_values(self, ri: int, name: str) -> np.ndarray:
+        """Column `name` of row ri, a view of its segment's column."""
+        c, s = self.rows[ri]
+        o = c.offsets[name]
+        return c.values[name][o[s]:o[s + 1]]
+
+    def stream_size(self, name: str) -> int:
+        """Total length of column `name` over the term's rows, ungathered."""
+        return sum(int(c.offsets[name][s + 1] - c.offsets[name][s])
+                   for c, s in self.rows)
+
+    def _decode(self, buf, byte_ends, counts) -> np.ndarray:
+        self._counters["varbyte_decodes"] += 1
+        return varbyte_decode_rows(buf, byte_ends, counts).astype(np.int64)
+
+    def _block_view(self) -> tuple[np.ndarray, ...]:
+        """(last_doc, doc_off, tf_off, max_tf, min_norm, row_of_block,
+        block_in_row) over the global block sequence, gathered once."""
+        if self._blocks is None:
+            skips = {}
+            for name in _SKIPS:
+                skips[name], ends = _gather(self.rows, name)
+            n_row_blocks = np.diff(ends, prepend=0)
+            row_of_block = np.repeat(np.arange(len(self.rows)), n_row_blocks)
+            block_in_row = np.arange(int(ends[-1])) - (ends - n_row_blocks)[row_of_block]
+            self._blocks = (
+                skips["skip_last_doc"].astype(np.int64), skips["skip_doc_off"],
+                skips["skip_tf_off"], skips["skip_max_tf"].astype(np.int64),
+                skips["skip_min_norm"].astype(np.int64), row_of_block,
+                block_in_row)
+        return self._blocks
+
+    @property
+    def block_last_doc(self) -> np.ndarray:
+        return self._block_view()[0]
+
+    @property
+    def block_max_tf(self) -> np.ndarray:
+        return self._block_view()[3]
+
+    @property
+    def block_min_norm(self) -> np.ndarray:
+        return self._block_view()[4]
 
     @property
     def n_blocks(self) -> int:
         return self.block_last_doc.size
 
     def decode_all(self) -> tuple[np.ndarray, np.ndarray]:
+        """(doc_ids, tfs) of every row: one decode call per stream."""
         if self._full is None:
-            ids_l, tfs_l = [], []
-            for r in self.rows:
-                deltas = varbyte_decode(r["doc_bytes"], r["df"]).astype(np.int64)
-                ids_l.append(np.cumsum(deltas) - 1)
-                tfs_l.append(varbyte_decode(r["tf_bytes"], r["df"]).astype(np.int64))
-            self._full = (np.concatenate(ids_l), np.concatenate(tfs_l))
+            deltas = self._decode(*_gather(self.rows, "doc_bytes"), self.row_df)
+            ids = segmented_cumsum(deltas, self.row_df) - 1
+            tfs = self._decode(*_gather(self.rows, "tf_bytes"), self.row_df)
+            self._full = (ids, tfs)
         return self._full
 
     @property
@@ -132,24 +237,48 @@ class TermPostings:
         hit = self._block_cache.get(g)
         if hit is not None:
             return hit
-        r = self.rows[int(self._row_of_block[g])]
-        bi = int(self._block_in_row[g])
-        sdo = r["skip_doc_off"]
-        sto = r["skip_tf_off"]
-        nb = len(sdo)
-        dbuf = np.frombuffer(r["doc_bytes"], np.uint8)
-        tbuf = np.frombuffer(r["tf_bytes"], np.uint8)
-        d0, d1 = sdo[bi], (sdo[bi + 1] if bi + 1 < nb else dbuf.size)
-        t0, t1 = sto[bi], (sto[bi + 1] if bi + 1 < nb else tbuf.size)
-        deltas = varbyte_decode(dbuf[d0:d1]).astype(np.int64)
-        base = int(r["skip_last_doc"][bi - 1]) if bi else -1
-        ids = np.cumsum(deltas) + base
-        tfs = varbyte_decode(tbuf[t0:t1]).astype(np.int64)
+        last_doc, doc_off, tf_off, _, _, row_of_block, block_in_row = self._block_view()
+        ri, bi = int(row_of_block[g]), int(block_in_row[g])
+        in_row = g + 1 < row_of_block.size and row_of_block[g + 1] == ri
+        n = min(BLOCK_SIZE, int(self.row_df[ri]) - bi * BLOCK_SIZE)
+        out = []
+        for name, off in (("doc_bytes", doc_off), ("tf_bytes", tf_off)):
+            row = self._row_values(ri, name)
+            lo = int(off[g])
+            hi = int(off[g + 1]) if in_row else row.size
+            out.append(self._decode(row[lo:hi], [hi - lo], [n]))
+        base = int(last_doc[g - 1]) if bi else -1
+        ids, tfs = np.cumsum(out[0]) + base, out[1]
         if len(self._block_cache) > 64:
             self._block_cache.clear()
         self._block_cache[g] = (ids, tfs)
         return ids, tfs
 
+    def decode_positions(self, row: int | None = None) -> tuple[np.ndarray, ...]:
+        """(ids, pos, starts, cuts) of the docs of every row that stores
+        positions, or of row `row` only: doc ids[j]'s absolute positions are
+        pos[starts[j]:cuts[j]]. Doc ids and tfs are sliced from
+        `decode_all`; the position bytes of all rows decode in one call."""
+        ids, tfs = self.decode_all()
+        row_df = self.row_df
+        if row is None:
+            buf, byte_ends = _gather(self.rows, "pos_bytes")
+        else:
+            d1 = int(row_df[:row + 1].sum())
+            d0 = d1 - int(row_df[row])
+            ids, tfs, row_df = ids[d0:d1], tfs[d0:d1], row_df[row:row + 1]
+            buf = self._row_values(row, "pos_bytes")
+            byte_ends = np.array([buf.size])
+        has_pos = np.diff(byte_ends, prepend=0) > 0
+        tf_cum = np.concatenate([[0], np.cumsum(tfs)])
+        doc_ends = np.cumsum(row_df)
+        row_tf = tf_cum[doc_ends] - tf_cum[doc_ends - row_df]
+        flat = self._decode(buf, byte_ends, np.where(has_pos, row_tf, 0))
+        if not has_pos.all():
+            keep = np.repeat(has_pos, row_df)
+            ids, tfs = ids[keep], tfs[keep]
+        cuts = np.cumsum(tfs)
+        return ids, segmented_cumsum(flat, tfs), cuts - tfs, cuts
 
 
 # Separator between a non-default field name and its term in the unified term
@@ -704,13 +833,15 @@ def osa_vec(query: str, cands: np.ndarray) -> np.ndarray:
 
 
 class _Segment:
-    """Term dictionary + posting-row access for one segment.
+    """Term dictionary + postings columns for one segment.
 
     Two residency modes (SCALE.md §9):
-      eager (default for small segments): whole postings table in memory.
+      eager (default for small segments): whole postings table in memory,
+        as one `_PostingsColumns`.
       lazy: only the term dictionary (term column + row->file/row-group map)
         is resident — O(vocab) memory; posting rows are fetched on demand by
-        reading the covering parquet row group (LRU-cached). This is the
+        reading the covering parquet row group (LRU-cached) and taking the
+        rows out of it, so cached terms do not pin row groups. This is the
         disk-resident term dictionary that lets one searcher own arbitrarily
         large segments: memory = dictionary + hot row groups only.
     """
@@ -727,12 +858,12 @@ class _Segment:
         pdir = os.path.join(seg_dir, "postings")
         self._files = list_parquet_files(pdir)
         if not lazy:
-            t = pads.dataset(self._files).to_table()
-            self.table = t.combine_chunks()
+            t = pads.dataset(self._files).to_table(
+                columns=["term", *_POSTINGS_COLUMNS]).combine_chunks()
+            self._cols = _PostingsColumns(t)
             self.terms = np.asarray(t["term"])
-            self._dfs = t["df"].to_numpy()
+            self._dfs = self._cols.df
         else:
-            self.table = None
             # dictionary-only projected read (term column, in file/row order
             # matching the global row index used below)
             t = pads.dataset(self._files).to_table(columns=["term", "df"])
@@ -767,27 +898,39 @@ class _Segment:
         hi = np.searchsorted(self._sorted_terms, prefix + TERM_MAX, side="left")
         return self._order[lo:hi]
 
-    def row(self, i: int) -> dict:
+    def pieces(self, rows: np.ndarray) -> list[tuple[_PostingsColumns, np.ndarray]]:
+        """(columns, row indexes into them) covering the segment rows
+        `rows`: one piece in eager mode, one per row group in lazy mode."""
+        if not rows.size:
+            return []
         if not self.lazy:
-            return {c: self.table[c][i].as_py() for c in self.table.column_names}
+            return [(self._cols, rows)]
+        fi = np.searchsorted(self._file_row_start, rows, side="right") - 1
+        within_file = rows - self._file_row_start[fi]
+        out = []
+        for f in np.unique(fi).tolist():
+            in_file = within_file[fi == f]
+            bounds = self._rg_bounds[f]
+            rg = np.searchsorted(bounds, in_file, side="right") - 1
+            for g in np.unique(rg).tolist():
+                taken = self._row_group(f, g).take(in_file[rg == g] - bounds[g])
+                out.append((_PostingsColumns(taken), np.arange(len(taken))))
+        return out
+
+    def _row_group(self, fi: int, rg: int) -> pa.Table:
         import pyarrow.parquet as pq
 
-        fi = int(np.searchsorted(self._file_row_start, i, side="right")) - 1
-        within_file = i - int(self._file_row_start[fi])
-        bounds = self._rg_bounds[fi]
-        rg = int(np.searchsorted(bounds, within_file, side="right")) - 1
-        within_rg = within_file - int(bounds[rg])
         key = (fi, rg)
         t = self._rg_cache.get(key)
         if t is None:
             pf = self._pf.get(fi)
             if pf is None:
                 pf = self._pf[fi] = pq.ParquetFile(self._files[fi])
-            t = pf.read_row_group(rg)
+            t = pf.read_row_group(rg, columns=list(_POSTINGS_COLUMNS))
             if len(self._rg_cache) >= self._RG_CACHE_CAP:
                 self._rg_cache.pop(next(iter(self._rg_cache)))
             self._rg_cache[key] = t
-        return {c: t[c][within_rg].as_py() for c in t.column_names}
+        return t
 
 
 class IndexSearcher:
@@ -872,6 +1015,10 @@ class IndexSearcher:
         self._term_cache: dict[str, TermPostings | None] = {}
         self._pos_cache_total = 0  # searcher-wide cached-position budget
         self._cache_cap = cache_terms
+        # lookup counters, bumped once per lookup or decode call:
+        # term_cache_hits / term_cache_misses, postings_rows (rows gathered
+        # by cache misses and prefix queries) and varbyte_decodes
+        self.counters: Counter = Counter()
         # per-field norms/lengths for extra indexed fields (docmeta columns
         # len_<f> / normb_<f> written by the tokenize stage) — the per-field
         # Norms analog (Lucene stores norms per indexed field)
@@ -945,12 +1092,12 @@ class IndexSearcher:
 
     def _get_term_key(self, key: str) -> TermPostings | None:
         if key in self._term_cache:
+            self.counters["term_cache_hits"] += 1
             return self._term_cache[key]
-        rows: list[dict] = []
-        for seg in self.segments:
-            for i in seg.rows_for(key):
-                rows.append(seg.row(int(i)))
-        tp = TermPostings(key, rows) if rows else None
+        self.counters["term_cache_misses"] += 1
+        pieces = [p for seg in self.segments for p in seg.pieces(seg.rows_for(key))]
+        self.counters["postings_rows"] += sum(r.size for _, r in pieces)
+        tp = TermPostings(key, pieces, self.counters) if pieces else None
         if len(self._term_cache) >= self._cache_cap:
             evicted = self._term_cache.pop(next(iter(self._term_cache)))
             if evicted is not None:
@@ -2433,19 +2580,24 @@ class IndexSearcher:
 
     def _prefix(self, prefix: str, boost: float = 1.0, field: str | None = None):
         """CONSTANT_SCORE rewrite [Lucene 8.5]: union of matching terms' docs,
-        score = boost for every match."""
+        score = boost for every match. The doc streams of all matching rows
+        decode in one call."""
         fk = self._fkey(field)
-        ids_parts = []
+        pieces = []
         for seg in self.segments:
-            for i in seg.prefix_rows(fk + prefix):
-                r = seg.row(int(i))
-                if not fk and FIELD_SEP in r["term"]:
-                    continue  # default field: skip field-qualified keys
-                deltas = varbyte_decode(r["doc_bytes"], r["df"]).astype(np.int64)
-                ids_parts.append(np.cumsum(deltas) - 1)
-        if not ids_parts:
+            rows = seg.prefix_rows(fk + prefix)
+            if not fk and rows.size:
+                # default field: skip field-qualified keys
+                rows = rows[np.char.find(seg.terms[rows].astype(str), FIELD_SEP) < 0]
+            pieces += seg.pieces(rows)
+        if not pieces:
             return np.empty(0, np.int64), np.empty(0, np.float64)
-        ids = np.unique(np.concatenate(ids_parts))
+        rows = [(c, s) for c, r in pieces for s in r.tolist()]
+        df = np.array([c.df[s] for c, s in rows], np.int64)
+        self.counters["postings_rows"] += len(rows)
+        self.counters["varbyte_decodes"] += 1
+        deltas = varbyte_decode_rows(*_gather(rows, "doc_bytes"), df)
+        ids = np.unique(segmented_cumsum(deltas, df) - 1)
         return ids, np.full(ids.size, boost, np.float64)
 
     def _phrase_setup(self, text: str, field: str | None):
@@ -2709,111 +2861,60 @@ class IndexSearcher:
             sc = self.bm25.score_tf(freqs, None, doc_lens[cand], avgdl, w)
         return cand, sc.astype(np.float64)
 
-    def _decoded_pos_row(self, tp: TermPostings, ri: int, r: dict):
-        """(row_ids, total_positions, starts, cuts) for one postings row,
-        decoded once and cached. The element budget is SEARCHER-wide
-        (~16M positions ~= 512 MB across all cached terms, released when a
-        term is evicted from the term cache); tf_bytes are only decoded on
-        a cache miss — hits carry cuts/starts already."""
-        cached = tp._pos_cache.get(ri)
-        if cached is not None:
-            return cached
-        row_tfs = varbyte_decode(r["tf_bytes"], r["df"]).astype(np.int64)
-        deltas = varbyte_decode(r["doc_bytes"], r["df"]).astype(np.int64)
-        row_ids = np.cumsum(deltas) - 1
-        flat = varbyte_decode(r["pos_bytes"]).astype(np.int64)
-        cuts = np.cumsum(row_tfs)
-        total = np.cumsum(flat)
-        if row_tfs.size > 1:
-            corr_vals = np.concatenate([[0], total[cuts[:-1] - 1]])
-            total = total - np.repeat(corr_vals, row_tfs)
-        starts = np.concatenate([[0], cuts[:-1]])
-        if self._pos_cache_total < 16_000_000:
-            tp._pos_cache[ri] = (row_ids, total, starts, cuts)
-            tp._pos_cache_elems += total.size
-            self._pos_cache_total += total.size
-        return row_ids, total, starts, cuts
-
     def _merged_positions(self, tp: TermPostings):
         """One (ids, pos, starts, cuts) structure for ALL of a term's
-        postings rows: salted hot-term chunks and adjacent segments cover
-        disjoint ordered doc-id ranges, so the per-row arrays concatenate
-        into one globally sorted structure (SCALE.md §3 — the zero-cost
-        salted-group merge). Built once and cached on the TermPostings;
-        collapses the per-row candidate probe (rows x searchsorted(cand))
-        into ONE probe — the dominant steady-state cost for hot salted
-        terms (measured 180 rows for a Zipf-head term at 400k docs).
-        Returns None when rows overlap (defensive) or the position budget
-        is exhausted; callers fall back to the per-row loop."""
+        postings rows (`TermPostings.decode_positions`: one decode call
+        over every row's position bytes). Salted hot-term chunks and
+        adjacent segments cover disjoint ordered doc-id ranges, so the rows
+        concatenate into one globally sorted structure (SCALE.md §3 — the
+        zero-cost salted-group merge), probed once per candidate set.
+
+        This is the only position cache: the structure is kept on the
+        TermPostings while the searcher-wide budget (~16M positions ≈
+        512 MB across all cached terms) has room, and the term's share is
+        released when it leaves the term cache. Returns None for a term
+        whose position stream exceeds ~64M entries (or whose `_pos_merged`
+        is False); callers then decode it row by row (`_position_parts`)."""
         m = getattr(tp, "_pos_merged", None)
-        if m is not False and m is not None:
-            return m
         if m is False:
             return None
-        # budget gate: a term whose full position stream exceeds ~64M
-        # entries (≈1 GB merged) stays on the per-row path — its rows
-        # decode under the row-cache budget instead of pinning one giant
-        # array (only relevant for Zipf-head terms on very large
-        # single-searcher partitions; distributed searchers bound this
-        # by construction)
-        # varbyte positions are >=1 byte each, so byte length upper-bounds
-        # nothing but LOWER-bounds the entry count; use it as the estimate
-        est = sum(len(r["pos_bytes"] or b"") for r in tp.rows)
-        if est > 64_000_000:
+        if m is not None:
+            return m
+        # varbyte positions are >=1 byte each, so the byte length bounds the
+        # entry count from above; only Zipf-head terms on very large
+        # single-searcher partitions pass the gate (distributed searchers
+        # bound this by construction)
+        if tp.stream_size("pos_bytes") > 64_000_000:
             tp._pos_merged = False
             return None
-        parts = []
-        for ri, r in enumerate(tp.rows):
-            if not r["pos_bytes"]:
-                continue
-            parts.append(self._decoded_pos_row(tp, ri, r))
-        if not parts:
-            e = np.empty(0, np.int64)
-            tp._pos_merged = (e, e, e, e)
-            return tp._pos_merged
-        parts.sort(key=lambda p: int(p[0][0]) if p[0].size else -1)
-        ids = np.concatenate([p[0] for p in parts])
-        if ids.size > 1 and not (np.diff(ids) > 0).all():
-            tp._pos_merged = False  # overlapping rows: per-row fallback
-            return None
-        pos = np.concatenate([p[1] for p in parts])
-        off = np.cumsum([0] + [p[1].size for p in parts[:-1]])
-        starts = np.concatenate([p[2] + o for p, o in zip(parts, off)])
-        cuts = np.concatenate([p[3] + o for p, o in zip(parts, off)])
-        tp._pos_merged = (ids, pos, starts, cuts)
-        return tp._pos_merged
+        m = tp.decode_positions()
+        if self._pos_cache_total < 16_000_000:
+            self._pos_cache_total += m[1].size - tp._pos_cache_elems
+            tp._pos_cache_elems = m[1].size
+            tp._pos_merged = m
+        return m
+
+    def _position_parts(self, tp: TermPostings):
+        """(ids, pos, starts, cuts) structures covering the term's docs:
+        the merged one, or one per postings row for a term over the merge
+        budget (each row's doc ids and tfs sliced from `decode_all`)."""
+        merged = self._merged_positions(tp)
+        if merged is not None:
+            return [merged]
+        return (tp.decode_positions(ri) for ri in range(len(tp.rows)))
 
     def _positions_pairs(self, tp: TermPostings, cand: np.ndarray):
         """Flattened (cand_index, position) pairs for all candidates at once —
         no per-candidate Python loop or array-of-arrays. Used by the phrase
         verifier over large candidate sets; spans use _positions_for."""
-        merged = self._merged_positions(tp)
-        if merged is not None:
-            ids, pos, starts, cuts = merged
+        ci_parts: list[np.ndarray] = []
+        pos_parts: list[np.ndarray] = []
+        for ids, pos, starts, cuts in self._position_parts(tp):
             if ids.size == 0:
-                return (np.empty(0, np.int64), np.empty(0, np.int64))
+                continue
             idx = np.searchsorted(ids, cand)
             safe = np.minimum(idx, ids.size - 1)
             hit = np.flatnonzero(ids[safe] == cand)
-            if hit.size == 0:
-                return (np.empty(0, np.int64), np.empty(0, np.int64))
-            j = idx[hit]
-            lens = cuts[j] - starts[j]
-            tot = int(lens.sum())
-            if tot == 0:
-                return (np.empty(0, np.int64), np.empty(0, np.int64))
-            prefix = np.concatenate([[0], np.cumsum(lens)[:-1]])
-            gidx = np.repeat(starts[j] - prefix, lens) + np.arange(tot)
-            return np.repeat(hit, lens), pos[gidx]
-        ci_parts: list[np.ndarray] = []
-        pos_parts: list[np.ndarray] = []
-        for ri, r in enumerate(tp.rows):
-            if not r["pos_bytes"]:
-                continue
-            row_ids, total, starts, cuts = self._decoded_pos_row(tp, ri, r)
-            idx = np.searchsorted(row_ids, cand)
-            safe = np.minimum(idx, row_ids.size - 1)
-            hit = np.flatnonzero(row_ids[safe] == cand)
             if hit.size == 0:
                 continue
             j = idx[hit]
@@ -2825,38 +2926,25 @@ class IndexSearcher:
             prefix = np.concatenate([[0], np.cumsum(lens)[:-1]])
             gidx = np.repeat(starts[j] - prefix, lens) + np.arange(tot)
             ci_parts.append(np.repeat(hit, lens))
-            pos_parts.append(total[gidx])
+            pos_parts.append(pos[gidx])
         if not ci_parts:
             return np.empty(0, np.int64), np.empty(0, np.int64)
-        return (np.concatenate(ci_parts).astype(np.int64),
-                np.concatenate(pos_parts))
+        if len(ci_parts) == 1:
+            return ci_parts[0], pos_parts[0]
+        return np.concatenate(ci_parts), np.concatenate(pos_parts)
 
     def _positions_for(self, tp: TermPostings, cand: np.ndarray) -> list[np.ndarray]:
-        """positions arrays aligned with cand (empty when doc lacks term).
-        Fully vectorized: varbyte-decode the row's position stream once,
-        absolutize with a segmented cumsum, slice only the candidate docs."""
+        """positions arrays aligned with cand (empty when doc lacks term),
+        sliced from the decoded position structures."""
         out = [np.empty(0, np.int64)] * cand.size
-        merged = self._merged_positions(tp)
-        if merged is not None:
-            ids, pos, starts, cuts = merged
+        for ids, pos, starts, cuts in self._position_parts(tp):
             if ids.size == 0:
-                return out
+                continue
             idx = np.searchsorted(ids, cand)
             safe = np.minimum(idx, ids.size - 1)
-            for ci in np.flatnonzero(ids[safe] == cand):
+            for ci in np.flatnonzero(ids[safe] == cand):  # each cand hits <=1 part
                 j = idx[ci]
                 out[ci] = pos[starts[j]:cuts[j]]
-            return out
-        for ri, r in enumerate(tp.rows):
-            if not r["pos_bytes"]:
-                continue
-            row_ids, total, starts, cuts = self._decoded_pos_row(tp, ri, r)
-            idx = np.searchsorted(row_ids, cand)
-            safe = np.minimum(idx, row_ids.size - 1)
-            hit = np.flatnonzero(row_ids[safe] == cand)  # each cand hits <=1 row
-            for ci in hit:
-                j = idx[ci]
-                out[ci] = total[starts[j] : cuts[j]]
         return out
 
     def _all_doc_ids(self) -> np.ndarray:

@@ -13,10 +13,11 @@ Two semantics matter for parity:
 - **indices_boost** (SearchSourceBuilder#indexBoosts) multiplies every hit's
   score by its index's boost before the merge.
 
-Ray mapping: each index is an IndexSearcher (actor-side state at scale —
-the SearcherStage actor pool already partitions BY SEGMENT; a multi-node
-deployment gives each index its own pool and this merge is the coordinator
-reduce, k×indices rows total, driver-tiny).
+Ray mapping: each index is an IndexSearcher. At scale an index is served
+by actors: `DistributedSearcher` gives each actor a partition of the
+segments, while every actor of the `SearcherStage` pool loads every
+segment. A multi-node deployment gives each index its own actors, and
+this merge is the coordinator reduce: k×indices rows total, driver-tiny.
 """
 
 from __future__ import annotations

@@ -123,3 +123,15 @@ def test_train_fuzz_vs_twin():
         got = list(bpe.train_bpe(ds, k).itertuples(index=False, name=None))
         want = bpe.train_bpe_local(_local_word_freq(texts), k)
         assert got == want, f"trial {trial}: {got} != {want}"
+
+
+def test_unigram_vocab_honours_vocab_size():
+    """With the default EM rounds and prune fraction, the unigram trainer
+    returns at most max(vocab_size, distinct characters) pieces, and every
+    character of the corpus stays a piece."""
+    chars = {c for w in _local_word_freq(TEXTS) for c in w}
+    ds = _docs_ds(TEXTS)
+    for vocab_size in (len(chars) // 2, 40):
+        logp = bpe.fit_unigram_tokenizer(ds, vocab_size=vocab_size)
+        assert len(logp) <= max(vocab_size, len(chars)), (vocab_size, len(logp))
+        assert chars <= set(logp)

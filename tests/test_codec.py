@@ -14,7 +14,9 @@ from elasticsearch_ray.codec import (
     decode_positions,
     decode_postings,
     encode_postings,
+    segmented_cumsum,
     varbyte_decode,
+    varbyte_decode_rows,
     varbyte_encode,
 )
 from elasticsearch_ray.smallfloat import DECODE_TABLE, byte4_to_int, int_to_byte4
@@ -75,6 +77,66 @@ def test_varbyte_sizes():
     assert varbyte_encode(np.array([128], np.uint64)) == b"\x80\x01"
     assert len(varbyte_encode(np.array([2**63 - 1], np.uint64))) == 9
 
+
+
+def _random_rows(rng, n_rows):
+    """Per-row varint streams (some empty, values up to 9 bytes)."""
+    rows = []
+    for _ in range(n_rows):
+        n = int(rng.integers(0, 6)) if rng.random() < 0.8 else 0
+        bits = rng.integers(0, 63, size=n)
+        rows.append((rng.integers(0, 2**62, size=n, dtype=np.uint64)
+                     >> bits.astype(np.uint64)))
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_varbyte_decode_rows_equals_per_row(seed):
+    rng = np.random.default_rng(seed)
+    rows = _random_rows(rng, int(rng.integers(0, 12)))
+    streams = [varbyte_encode(r) for r in rows]
+    buf = np.frombuffer(b"".join(streams), np.uint8)
+    ends = np.cumsum([len(s) for s in streams], dtype=np.int64)
+    counts = [r.size for r in rows]
+    got = varbyte_decode_rows(buf, ends, counts)
+    want = [varbyte_decode(s, r.size) for s, r in zip(streams, rows)]
+    assert got.dtype == np.uint64
+    np.testing.assert_array_equal(
+        got, np.concatenate(want) if want else np.empty(0, np.uint64))
+    # the running sums restart at every row, empty rows included
+    np.testing.assert_array_equal(
+        segmented_cumsum(got, counts),
+        np.concatenate([np.cumsum(w.astype(np.int64)) for w in want])
+        if want else np.empty(0, np.int64))
+
+
+def test_varbyte_decode_rows_rejects_corrupt_rows():
+    two = varbyte_encode(np.array([300], np.uint64))  # b"\xac\x02"
+    assert len(two) == 2
+    # row 0 ends in a continuation byte that row 1's byte would complete:
+    # the whole buffer decodes as one value, the rows do not
+    buf = np.frombuffer(two, np.uint8)
+    assert varbyte_decode(buf).tolist() == [300]
+    with pytest.raises(ValueError, match="row 0 ends in a continuation"):
+        varbyte_decode_rows(buf, [1, 2], [1, 0])
+    with pytest.raises(ValueError, match="row 0 ends in a continuation"):
+        varbyte_decode_rows(buf, [1, 2], [0, 1])
+    # the same check for a later row, after an empty one
+    buf = np.frombuffer(b"\x05" + two, np.uint8)
+    with pytest.raises(ValueError, match="row 2 ends in a continuation"):
+        varbyte_decode_rows(buf, [1, 1, 2, 3], [1, 0, 1, 0])
+    # a row holding more or fewer values than its count
+    buf = np.frombuffer(b"\x01\x02\x03", np.uint8)
+    assert varbyte_decode_rows(buf, [2, 3], [2, 1]).tolist() == [1, 2, 3]
+    with pytest.raises(ValueError, match="row 0: decoded 2 values, expected 1"):
+        varbyte_decode_rows(buf, [2, 3], [1, 2])
+    with pytest.raises(ValueError, match="row 1: decoded 1 values, expected 2"):
+        varbyte_decode_rows(buf, [2, 3], [2, 2])
+    with pytest.raises(ValueError, match="row 1: decoded 0 values, expected 1"):
+        varbyte_decode_rows(buf, [3, 3], [3, 1])
+    # row ends that do not cover the buffer
+    with pytest.raises(ValueError):
+        varbyte_decode_rows(buf, [2], [2])
 
 # ---------- postings ----------
 

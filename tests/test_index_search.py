@@ -173,15 +173,107 @@ def test_wand_equals_exhaustive(searcher):
 
 def test_lazy_segment_mode_identical(index_dir, searcher):
     """Disk-resident term dictionary (lazy segments) must be rank-identical
-    to eager residency."""
+    to eager residency, for term, match, phrase and prefix queries."""
     lazy = IndexSearcher(index_dir, lazy=True)
     assert lazy.lazy and not searcher.lazy
-    for q in reference_queries()[:15]:
+    qs = reference_queries()[:15] + [
+        q for q in reference_queries() if q["kind"] in ("match_phrase", "prefix")]
+    qs += [{"kind": "match_phrase", "text": "def tree", "slop": 2, "k": 10},
+           {"kind": "match_phrase", "text": "return query def", "k": 10},
+           {"kind": "prefix", "prefix": "d", "k": 50}]
+    for q in qs:
         a_ids, a_sc = searcher.search(q)
         b_ids, b_sc = lazy.search(q)
         assert list(a_ids) == list(b_ids), q
         np.testing.assert_array_equal(a_sc, b_sc)
 
+
+
+def _per_row_postings(index_dir):
+    """term -> its postings rows decoded one row at a time by the codec's
+    own per-row functions, rows in doc order: a list of (doc_ids, tfs,
+    blocks, positions) with blocks = [(ids, tfs)] per 128-doc block and
+    positions = one absolute position array per doc."""
+    from elasticsearch_ray.codec import (EncodedPostings, decode_block,
+                                         decode_positions, varbyte_decode)
+
+    by_term: dict[str, list] = {}
+    for sid in live_segments(committed_segments(index_dir)):
+        t = pads.dataset(os.path.join(index_dir, sid, "postings")).to_table()
+        for r in t.to_pylist():
+            e = EncodedPostings(
+                df=r["df"], sum_tf=r["sum_tf"], doc_bytes=r["doc_bytes"],
+                tf_bytes=r["tf_bytes"], pos_bytes=r["pos_bytes"] or b"",
+                **{c: np.asarray(r[c]) for c in (
+                    "skip_last_doc", "skip_doc_off", "skip_tf_off",
+                    "skip_pos_off", "skip_max_tf", "skip_min_norm")})
+            ids = np.cumsum(varbyte_decode(e.doc_bytes, e.df).astype(np.int64)) - 1
+            tfs = varbyte_decode(e.tf_bytes, e.df).astype(np.int64)
+            blocks = [decode_block(e, b) for b in range(e.skip_last_doc.size)]
+            by_term.setdefault(r["term"], []).append(
+                (ids, tfs, blocks, decode_positions(e, tfs)))
+    for rows in by_term.values():
+        rows.sort(key=lambda row: int(row[0][0]))
+    return by_term
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+def test_batched_decode_equals_per_row_decode(index_dir, lazy):
+    """Every term's gathered postings (one varbyte call per stream) equal
+    the per-row decode: doc ids, tfs, every block and the positions, both
+    merged and row by row, on the salted multi-segment index."""
+    s = IndexSearcher(index_dir, lazy=lazy)
+    by_term = _per_row_postings(index_dir)
+    # salted hot terms have more rows than there are segments
+    assert max(len(rows) for rows in by_term.values()) > len(s.segments)
+    for term, rows in by_term.items():
+        tp = s._get_term_key(term)
+        assert len(tp.rows) == len(rows), term
+        np.testing.assert_array_equal(tp.doc_ids, np.concatenate([r[0] for r in rows]))
+        np.testing.assert_array_equal(tp.tfs, np.concatenate([r[1] for r in rows]))
+        blocks = [b for r in rows for b in r[2]]
+        assert tp.n_blocks == len(blocks)
+        for g, (ids, tfs) in enumerate(blocks):
+            got_ids, got_tfs = tp.decode_block(g)
+            np.testing.assert_array_equal(got_ids, ids)
+            np.testing.assert_array_equal(got_tfs, tfs)
+        np.testing.assert_array_equal(tp.block_last_doc, [b[0][-1] for b in blocks])
+        positions = [p for r in rows for p in r[3]]
+        if not positions:
+            continue
+        ids, pos, starts, cuts = s._merged_positions(tp)
+        np.testing.assert_array_equal(ids, tp.doc_ids)
+        np.testing.assert_array_equal(cuts - starts, [p.size for p in positions])
+        np.testing.assert_array_equal(pos, np.concatenate(positions))
+        for ri, r in enumerate(rows):
+            ids, pos, starts, cuts = tp.decode_positions(ri)
+            np.testing.assert_array_equal(ids, r[0])
+            np.testing.assert_array_equal(pos, np.concatenate(r[3]))
+
+
+def test_lookup_counters(index_dir):
+    """A cold salted term gathers one postings row per (segment, chunk); the
+    repeated query hits the term cache and gathers and decodes nothing."""
+    s = IndexSearcher(index_dir)
+    chunks: dict[str, set] = {}
+    for sid in live_segments(committed_segments(index_dir)):
+        t = pads.dataset(os.path.join(index_dir, sid, "postings")).to_table(
+            columns=["term", "chunk"])
+        for term, chunk in zip(t["term"].to_pylist(), t["chunk"].to_pylist()):
+            chunks.setdefault(term, set()).add((sid, chunk))
+    hot = max(sorted(chunks), key=lambda t: len(chunks[t]))
+    assert len(chunks[hot]) > len(s.segments)  # salted
+    q = {"kind": "term", "term": hot, "k": 10}
+    s.search(q)
+    cold = dict(s.counters)
+    assert cold["term_cache_misses"] == 1
+    assert cold["postings_rows"] == len(chunks[hot])
+    assert cold["varbyte_decodes"] >= 1
+    s.search(q)
+    warm = dict(s.counters)
+    assert warm["term_cache_hits"] >= 1
+    for name in ("term_cache_misses", "postings_rows", "varbyte_decodes"):
+        assert warm[name] == cold[name], name
 
 def test_wand_actually_prunes_on_skewed_tf(tmp_path, ray_session):
     """On bursty-tf data (the realistic case), WAND must decode strictly

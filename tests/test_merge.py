@@ -459,7 +459,7 @@ def test_overlapping_postings_rows_raise():
     correctly, so loading it fails and names the term."""
     import pyarrow as pa
 
-    from elasticsearch_ray.search.engine import TermPostings
+    from elasticsearch_ray.search.engine import TermPostings, _PostingsColumns
     from elasticsearch_ray.stages.encode import encode_bucket
 
     def rows(spans):
@@ -468,13 +468,15 @@ def test_overlapping_postings_rows_raise():
             term += ["tree"] * len(docs)
             chunk += [c] * len(docs)
             doc += docs
-        return encode_bucket(pa.table({
+        # the term's rows as a searcher gathers them from one segment table
+        table = encode_bucket(pa.table({
             "term": term, "chunk": pa.array(chunk, pa.int32()),
             "doc_id": pa.array(doc, pa.int64()),
             "tf": pa.array([1] * len(doc), pa.int32()),
             "norm_len": pa.array([4] * len(doc), pa.int32()),
             "positions": pa.array([[0]] * len(doc), pa.list_(pa.int32())),
-        })).to_pylist()
+        }))
+        return [(_PostingsColumns(table), np.arange(len(table)))]
 
     ok = TermPostings("tree", rows([[0, 3], [5, 9]]))
     assert ok.doc_ids.tolist() == [0, 3, 5, 9]
