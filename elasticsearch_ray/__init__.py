@@ -13,7 +13,7 @@ Layout:
     sources/     — corpus readers with deterministic doc_id assignment
     stages/      — map_batches stages (tokenize/explode, docmeta, postings)
     index/       — partitioned index build, tiered merge, manifests (resume)
-    search/      — BM25 scoring, boolean ops, block-max WAND, searcher actors
+    search/      — BM25 scoring, boolean ops, impact-ordered top-k, searcher actors
     aggs/        — aggregations (terms, histograms, HLL++, T-Digest, pipeline)
     functions/   — ingest processors, text analysis, dedup, similarity search
     pipelines/   — end-to-end flagship pipelines

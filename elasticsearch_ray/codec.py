@@ -148,17 +148,34 @@ def segmented_cumsum(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return tot
 
 
-def delta_encode(sorted_values: np.ndarray) -> np.ndarray:
-    v = np.asarray(sorted_values, dtype=np.int64)
-    d = np.empty_like(v)
-    if v.size:
-        d[0] = v[0]
-        np.subtract(v[1:], v[:-1], out=d[1:])
-    return d.astype(np.uint64)
+def decode_doc_rows(buf: np.ndarray, byte_ends: np.ndarray,
+                    dfs: np.ndarray) -> np.ndarray:
+    """int64 doc ids of concatenated postings rows' doc streams, laid out
+    and checked as in `varbyte_decode_rows`: row i holds dfs[i] doc deltas
+    whose base restarts at -1 (its first delta is doc0 + 1)."""
+    deltas = varbyte_decode_rows(buf, byte_ends, dfs).astype(np.int64)
+    return segmented_cumsum(deltas, dfs) - 1
 
 
-def delta_decode(deltas: np.ndarray) -> np.ndarray:
-    return np.cumsum(deltas.astype(np.int64))
+def decode_position_rows(buf: np.ndarray, byte_ends: np.ndarray,
+                         row_df: np.ndarray, tfs: np.ndarray
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Absolute positions of concatenated postings rows' position streams
+    -> (positions, per-doc position counts).
+
+    Row i covers the next row_df[i] docs of `tfs`. A row with a non-empty
+    stream holds each of its docs' tf positions as deltas that restart at
+    every doc; a row with an empty stream stores none, and its docs count 0.
+    Rows are checked as in `varbyte_decode_rows`."""
+    row_df = np.asarray(row_df, dtype=np.int64)
+    byte_ends = np.asarray(byte_ends, dtype=np.int64)
+    has_pos = np.diff(byte_ends, prepend=0) > 0
+    lens = np.where(np.repeat(has_pos, row_df), tfs, 0)
+    cum = np.concatenate([[0], np.cumsum(lens)])
+    doc_ends = np.cumsum(row_df)
+    counts = cum[doc_ends] - cum[doc_ends - row_df]
+    flat = varbyte_decode_rows(buf, byte_ends, counts).astype(np.int64)
+    return segmented_cumsum(flat, lens), lens
 
 
 @dataclass

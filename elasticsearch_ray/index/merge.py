@@ -40,10 +40,8 @@ import pyarrow.compute as pc
 import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
-from ..codec import varbyte_decode
-from ..smallfloat import DECODE_TABLE
 from ..sources.reader import list_parquet_files
-from ..stages.encode import POSTINGS_SCHEMA, encode_bucket
+from ..stages.encode import POSTINGS_SCHEMA, decode_bucket, encode_bucket
 from .build import exchange_width, remote, split_by_bucket, submit_map
 from .manifest import (
     SegmentManifest,
@@ -70,20 +68,16 @@ def _merge_rows_table(table: pa.Table, norm_bytes: np.ndarray,
     would overlap the chunk-1..k rows in between. Repeated (term, chunk)
     keys are fine, since the reader orders a term's rows by first doc.
 
-    Vectorized end to end by reusing the build path's bulk encoder
-    (stages/encode.py:encode_bucket): single-source rows pass through
-    unchanged as one `take`; rows needing a merge are bulk-DECODED with one
-    varbyte pass over the concatenated byte streams (binary-column buffers
-    are contiguous, and varbyte streams concatenate value-exactly), turned
-    back into (term, chunk, doc_id, tf, positions) triples, and re-encoded in
-    one encode_bucket call. No per-row Python dict work."""
+    Single rows pass through unchanged as one `take`. The rows of every run
+    decode to triples in one `decode_bucket` call, are keyed by their run
+    (so `encode_bucket` fuses exactly that run) and re-encode in one
+    `encode_bucket` call, after which the real chunk is put back."""
     if len(table) == 0:
         return POSTINGS_SCHEMA.empty_table()
-    # sort by (term, first doc) — doc ranges of a term's rows are disjoint,
-    # and skip_last_doc[-1] is each row's LAST doc id, which orders rows
-    # identically to first-doc for disjoint ranges
-    last_doc = np.array([v[-1] for v in table["skip_last_doc"].to_pylist()],
-                        dtype=np.int64)
+    # a term's rows cover disjoint doc ranges, so each row's last doc (the
+    # last entry of its skip_last_doc list) orders them like its first doc
+    skip_last = table["skip_last_doc"].combine_chunks()
+    last_doc = skip_last.values.to_numpy()[skip_last.offsets.to_numpy()[1:] - 1]
     table = table.append_column("_last_doc", pa.array(last_doc))
     order = pc.sort_indices(
         table, sort_keys=[("term", "ascending"), ("_last_doc", "ascending")]
@@ -97,74 +91,26 @@ def _merge_rows_table(table: pa.Table, norm_bytes: np.ndarray,
     if n > 1:
         change[1:] = (terms[1:] != terms[:-1]) | (chunks[1:] != chunks[:-1])
     starts = np.flatnonzero(change)
-    ends = np.append(starts[1:], n)
-    group_lens = ends - starts
+    group_lens = np.diff(starts, append=n)
 
     single = starts[group_lens == 1]
     passthrough = t.select(POSTINGS_SCHEMA.names).take(pa.array(single)) \
-        if single.size else POSTINGS_SCHEMA.empty_table()
-
+        .cast(POSTINGS_SCHEMA)
     multi = group_lens > 1
-    multi_starts = starts[multi]
-    if multi_starts.size == 0:
-        return passthrough.cast(POSTINGS_SCHEMA)
-    multi_rows = np.concatenate([
-        np.arange(s, e) for s, e in zip(multi_starts, ends[multi])
-    ])
-    m = t.take(pa.array(multi_rows)).combine_chunks()
-    dfs = m["df"].to_numpy().astype(np.int64)
-    sum_tfs = m["sum_tf"].to_numpy().astype(np.int64)
-
-    def _flat_binary(col) -> np.ndarray:
-        col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-        return np.frombuffer(b"".join(col.to_pylist()), dtype=np.uint8)
-
-    # one varbyte pass per stream over ALL merged rows
-    doc_deltas = varbyte_decode(_flat_binary(m["doc_bytes"]), int(dfs.sum())).astype(np.int64)
-    tfs_flat = varbyte_decode(_flat_binary(m["tf_bytes"]), int(dfs.sum())).astype(np.int64)
-    # absolutize doc ids: delta streams restart per row (first = doc0 + 1)
-    row_cuts = np.zeros(dfs.size + 1, dtype=np.int64)
-    np.cumsum(dfs, out=row_cuts[1:])
-    tot = np.cumsum(doc_deltas)
-    corr = np.concatenate([[0], tot[row_cuts[1:-1] - 1]]) if dfs.size > 1 else np.array([0])
-    doc_ids = tot - np.repeat(corr, dfs) - 1
-
-    # positions: decode once; per-doc delta restart -> absolutize with the
-    # global per-doc cuts (tf runs)
-    pos_flat_abs = None
-    pos_bytes_flat = _flat_binary(m["pos_bytes"])
-    if pos_bytes_flat.size:
-        pos_deltas = varbyte_decode(pos_bytes_flat, int(sum_tfs.sum())).astype(np.int64)
-        doc_cuts = np.cumsum(tfs_flat)
-        ptot = np.cumsum(pos_deltas)
-        if tfs_flat.size > 1:
-            pcorr = np.concatenate([[0], ptot[doc_cuts[:-1] - 1]])
-            ptot = ptot - np.repeat(pcorr, tfs_flat)
-        pos_flat_abs = ptot
-
-    # encode_bucket groups by (term, chunk), so it is keyed by the fused
-    # group's index, which ascends in (term, doc) order like its output rows;
-    # the real chunk is put back afterwards
-    group_of_row = np.repeat(np.arange(multi_starts.size), group_lens[multi])
-    rep = np.repeat(np.arange(len(m)), dfs)
-    triples = {
-        "term": pc.take(m["term"], pa.array(rep)),
-        "chunk": pa.array(group_of_row[rep].astype(np.int32)),
-        "doc_id": pa.array(doc_ids),
-        "tf": pa.array(tfs_flat.astype(np.int32)),
-        "norm_len": pa.array(
-            DECODE_TABLE[norm_bytes[doc_ids - base]].astype(np.int32)),
-    }
-    if pos_flat_abs is not None:
-        offsets = np.zeros(doc_ids.size + 1, dtype=np.int64)
-        np.cumsum(tfs_flat, out=offsets[1:])
-        triples["positions"] = pa.ListArray.from_arrays(
-            pa.array(offsets, pa.int32()), pa.array(pos_flat_abs.astype(np.int32)))
-    merged = encode_bucket(pa.table(triples))
+    if not multi.any():
+        return passthrough
+    m = t.take(pa.array(np.flatnonzero(np.repeat(multi, group_lens))))
+    triples = decode_bucket(m, norm_bytes, base)
+    run_of_row = np.repeat(np.arange(int(multi.sum())), group_lens[multi])
+    triples = triples.set_column(
+        triples.schema.get_field_index("chunk"), "chunk",
+        pa.array(np.repeat(run_of_row, m["df"].to_numpy()).astype(np.int32)))
+    # encode_bucket orders its rows by (term, run), i.e. by run
+    merged = encode_bucket(triples)
     merged = merged.set_column(
         merged.schema.get_field_index("chunk"), "chunk",
-        pa.array(chunks[multi_starts], pa.int32()))
-    return pa.concat_tables([passthrough.cast(POSTINGS_SCHEMA), merged])
+        pa.array(chunks[starts[multi]], pa.int32()))
+    return pa.concat_tables([passthrough, merged])
 
 
 def _split_postings_file(path: str, w: int):

@@ -15,8 +15,9 @@ segment-layout operation — no re-tokenization, no re-scoring state:
   like the reference, the source count must be a multiple of the target.
 - split:  re-partition each segment's postings by doc-id sub-range — one
   bounded Ray task per source segment decodes its posting rows to triples
-  once, filters per part and re-encodes with the build's vectorized
-  encode_bucket (skip pointers and block-max metadata recomputed exactly).
+  once (stages/encode.py:decode_bucket), filters per part and re-encodes
+  with the build's vectorized encode_bucket (skip pointers and block-max
+  metadata recomputed exactly).
 - rollover: alias-state JSON checked against max_docs / max_age / max_size;
   on trigger the alias atomically moves to a freshly created empty target.
 
@@ -35,8 +36,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.dataset as pads
 
-from ..codec import varbyte_decode
-from ..smallfloat import DECODE_TABLE
 from .manifest import (
     SegmentManifest,
     clean_tmp,
@@ -98,40 +97,6 @@ def shrink_index(src: str, dst: str, factor: int) -> list[str]:
     return out
 
 
-def _decode_rows(t: pa.Table) -> dict[str, np.ndarray]:
-    """Inverse of encode_bucket over a whole postings table: rows ->
-    flattened (row_index, doc_id, tf[, positions]) arrays. Vectorized:
-    one varbyte pass per stream over the concatenated byte columns."""
-    t = t.combine_chunks()
-    dfs = t["df"].to_numpy().astype(np.int64)
-    sum_tfs = t["sum_tf"].to_numpy().astype(np.int64)
-
-    def flat(col) -> np.ndarray:
-        col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-        return np.frombuffer(b"".join(col.to_pylist()), dtype=np.uint8)
-
-    doc_deltas = varbyte_decode(flat(t["doc_bytes"]), int(dfs.sum())).astype(np.int64)
-    tfs = varbyte_decode(flat(t["tf_bytes"]), int(dfs.sum())).astype(np.int64)
-    row_cuts = np.zeros(dfs.size + 1, dtype=np.int64)
-    np.cumsum(dfs, out=row_cuts[1:])
-    tot = np.cumsum(doc_deltas)
-    corr = (np.concatenate([[0], tot[row_cuts[1:-1] - 1]])
-            if dfs.size > 1 else np.array([0]))
-    doc_ids = tot - np.repeat(corr, dfs) - 1
-    out = {"row": np.repeat(np.arange(dfs.size), dfs),
-           "doc_id": doc_ids, "tf": tfs}
-    pos_flat = flat(t["pos_bytes"])
-    if pos_flat.size:
-        pos_deltas = varbyte_decode(pos_flat, int(sum_tfs.sum())).astype(np.int64)
-        doc_cuts = np.cumsum(tfs)
-        ptot = np.cumsum(pos_deltas)
-        if tfs.size > 1:
-            pcorr = np.concatenate([[0], ptot[doc_cuts[:-1] - 1]])
-            ptot = ptot - np.repeat(pcorr, tfs)
-        out["positions"] = ptot
-    return out
-
-
 def _split_segment(index_dir: str, sid: str, manifest: SegmentManifest,
                    dst: str, parts: int) -> list[tuple[str, SegmentManifest]]:
     """Split one segment into `parts` doc-range sub-segments (bounded work:
@@ -139,7 +104,7 @@ def _split_segment(index_dir: str, sid: str, manifest: SegmentManifest,
     import pyarrow.compute as pc
 
     from ..sources.reader import list_parquet_files
-    from ..stages.encode import encode_bucket
+    from ..stages.encode import decode_bucket, encode_bucket
 
     t0 = time.time()
     meta = pads.dataset(os.path.join(index_dir, sid, "docmeta")).to_table()
@@ -148,16 +113,12 @@ def _split_segment(index_dir: str, sid: str, manifest: SegmentManifest,
     lo, hi = manifest.doc_id_min, manifest.doc_id_max + 1
     bounds = np.linspace(lo, hi, parts + 1).astype(np.int64)
 
-    pt = pads.dataset(
-        list_parquet_files(os.path.join(index_dir, sid, "postings"))).to_table()
-    dec = _decode_rows(pt)
     # dense norms over THIS segment's doc range only (offset by lo)
     norm_full = np.zeros(hi - lo, dtype=np.uint8)
     norm_full[mdoc - lo] = meta["norm_byte"].to_numpy().astype(np.uint8)
-    terms_rep = pc.take(pt["term"], pa.array(dec["row"]))
-    chunks_rep = pc.take(pt["chunk"], pa.array(dec["row"]))
-    tf_off = np.zeros(dec["doc_id"].size + 1, dtype=np.int64)
-    np.cumsum(dec["tf"], out=tf_off[1:])
+    triples = decode_bucket(pads.dataset(list_parquet_files(
+        os.path.join(index_dir, sid, "postings"))).to_table(), norm_full, lo)
+    doc = triples["doc_id"].to_numpy()
 
     out = []
     for p in range(parts):
@@ -173,29 +134,8 @@ def _split_segment(index_dir: str, sid: str, manifest: SegmentManifest,
             out.append((new_id, committed_segments(dst)[new_id]))
             continue
         part_meta = meta.filter(pa.array(msel))
-        sel = (dec["doc_id"] >= plo) & (dec["doc_id"] < phi)
-        idx = np.flatnonzero(sel)
-        cols = {
-            "term": pc.take(terms_rep, pa.array(idx)),
-            "chunk": pc.take(chunks_rep, pa.array(idx)),
-            "doc_id": pa.array(dec["doc_id"][idx]),
-            "tf": pa.array(dec["tf"][idx].astype(np.int32)),
-            "norm_len": pa.array(
-                DECODE_TABLE[norm_full[dec["doc_id"][idx] - lo]].astype(
-                    np.int32)),
-        }
-        if "positions" in dec:
-            starts, ends = tf_off[idx], tf_off[idx + 1]
-            counts = ends - starts
-            gather = np.concatenate(
-                [np.arange(s, e) for s, e in zip(starts, ends)]
-            ) if idx.size else np.empty(0, np.int64)
-            offs = np.zeros(idx.size + 1, dtype=np.int64)
-            np.cumsum(counts, out=offs[1:])
-            cols["positions"] = pa.ListArray.from_arrays(
-                pa.array(offs, pa.int32()),
-                pa.array(dec["positions"][gather].astype(np.int32)))
-        encoded = encode_bucket(pa.table(cols))
+        encoded = encode_bucket(
+            triples.filter(pa.array((doc >= plo) & (doc < phi))))
 
         tmp = tmp_segment_dir(dst, new_id)
         shutil.rmtree(tmp, ignore_errors=True)

@@ -1,11 +1,14 @@
-"""Query engine: term dictionary + posting decode + BM25 top-k with block-max
-pruning (SURVEY.md §2.4/§2.5/§7 step 4).
+"""Query engine: term dictionary + posting decode + BM25 top-k with
+impact-bounded pruning (SURVEY.md §2.4/§2.5/§7 step 4).
 
 Mirrors the reference's query-then-fetch pipeline in miniature:
   - per-query collector with bounded top-k and skipping
     (search/query/QueryPhase.java:401 engages ScoreMode.TOP_SCORES ->
-    block-max WAND; TopDocsCollectorContext.java:213-217), here implemented as
-    a block-interval algorithm over the codec's skip/block-max metadata;
+    block-max WAND; TopDocsCollectorContext.java:213-217); here a single
+    hot term is collected in block-max order over the codec's skip/block-max
+    metadata (`wand.term_impact_topk`), exact phrases through an
+    impact-bounded verifier, and every other disjunction exhaustively with
+    vectorized scoring;
   - boolean set algebra on sorted posting lists
     (index/query/BoolQueryBuilder.java): AND = galloping/selective-block
     intersect, OR = scored union, must_not = sorted diff, filter = unscored
@@ -42,48 +45,15 @@ import pyarrow as pa
 import pyarrow.dataset as pads
 
 from ..analyzer import get_analyzer
-from ..codec import BLOCK_SIZE, segmented_cumsum, varbyte_decode_rows
+from ..codec import (
+    BLOCK_SIZE,
+    decode_doc_rows,
+    decode_position_rows,
+    varbyte_decode_rows,
+)
 from ..index.manifest import committed_segments, live_segments
+from ..stages.encode import _PostingsColumns
 from .similarity import BM25
-
-
-# Columns of a postings table that the searcher reads. The three byte
-# streams are Arrow binary columns, the skip columns int lists; both come as
-# (row offsets, flat values) NumPy views.
-_STREAMS = ("doc_bytes", "tf_bytes", "pos_bytes")
-_SKIPS = ("skip_last_doc", "skip_doc_off", "skip_tf_off", "skip_max_tf",
-          "skip_min_norm")
-_POSTINGS_COLUMNS = ("df",) + _STREAMS + _SKIPS
-
-
-class _PostingsColumns:
-    """One postings table as flat NumPy arrays, zero-copy over its Arrow
-    buffers: `df`, and per stream and skip column its row offsets
-    (`offsets[name]`, rows+1 entries) and flat values (`values[name]`).
-    Row i of column `name` is values[name][offsets[name][i]:offsets[name][i+1]]."""
-
-    __slots__ = ("df", "offsets", "values")
-
-    def __init__(self, table: pa.Table):
-        def array(name):
-            col = table[name]
-            return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
-
-        self.df = array("df").to_numpy()
-        self.offsets: dict[str, np.ndarray] = {}
-        self.values: dict[str, np.ndarray] = {}
-        for name in _STREAMS + _SKIPS:
-            arr = array(name)
-            if name in _STREAMS:
-                _, offsets, data = arr.buffers()
-                width = np.int64 if pa.types.is_large_binary(arr.type) else np.int32
-                self.offsets[name] = np.frombuffer(offsets, width)[
-                    arr.offset:arr.offset + len(arr) + 1]
-                self.values[name] = (np.frombuffer(data, np.uint8) if data is not None
-                                     else np.empty(0, np.uint8))
-            else:
-                self.offsets[name] = arr.offsets.to_numpy()
-                self.values[name] = arr.values.to_numpy()
 
 
 def _gather(rows: list[tuple[_PostingsColumns, int]], name: str):
@@ -126,9 +96,10 @@ class TermPostings:
     concatenate into one doc-ordered posting list — decoded with one
     `varbyte_decode_rows` call per stream — and their block sequences into
     one global block view: `block_last_doc` / `block_max_tf` /
-    `block_min_norm` index it directly. The block-max WAND scorer walks
-    these without decoding, and decodes single 128-doc blocks on demand via
-    the skip offsets. `counters` (the searcher's) counts decode calls."""
+    `block_min_norm` index it directly. The single-term impact collector
+    (`wand.term_impact_topk`) orders blocks by these bounds without
+    decoding, and decodes single 128-doc blocks on demand via the skip
+    offsets. `counters` (the searcher's) counts decode calls."""
 
     __slots__ = (
         "term", "df", "rows", "row_df", "_counters", "_blocks", "_full",
@@ -178,16 +149,17 @@ class TermPostings:
         return sum(int(c.offsets[name][s + 1] - c.offsets[name][s])
                    for c, s in self.rows)
 
-    def _decode(self, buf, byte_ends, counts) -> np.ndarray:
+    def _decode(self, decode, *args):
+        """decode(*args), counted as one varbyte decode call."""
         self._counters["varbyte_decodes"] += 1
-        return varbyte_decode_rows(buf, byte_ends, counts).astype(np.int64)
+        return decode(*args)
 
     def _block_view(self) -> tuple[np.ndarray, ...]:
         """(last_doc, doc_off, tf_off, max_tf, min_norm, row_of_block,
         block_in_row) over the global block sequence, gathered once."""
         if self._blocks is None:
             skips = {}
-            for name in _SKIPS:
+            for name in _PostingsColumns.SKIPS:
                 skips[name], ends = _gather(self.rows, name)
             n_row_blocks = np.diff(ends, prepend=0)
             row_of_block = np.repeat(np.arange(len(self.rows)), n_row_blocks)
@@ -218,9 +190,11 @@ class TermPostings:
     def decode_all(self) -> tuple[np.ndarray, np.ndarray]:
         """(doc_ids, tfs) of every row: one decode call per stream."""
         if self._full is None:
-            deltas = self._decode(*_gather(self.rows, "doc_bytes"), self.row_df)
-            ids = segmented_cumsum(deltas, self.row_df) - 1
-            tfs = self._decode(*_gather(self.rows, "tf_bytes"), self.row_df)
+            ids = self._decode(decode_doc_rows,
+                               *_gather(self.rows, "doc_bytes"), self.row_df)
+            tfs = self._decode(varbyte_decode_rows,
+                               *_gather(self.rows, "tf_bytes"),
+                               self.row_df).astype(np.int64)
             self._full = (ids, tfs)
         return self._full
 
@@ -246,7 +220,8 @@ class TermPostings:
             row = self._row_values(ri, name)
             lo = int(off[g])
             hi = int(off[g + 1]) if in_row else row.size
-            out.append(self._decode(row[lo:hi], [hi - lo], [n]))
+            out.append(self._decode(varbyte_decode_rows, row[lo:hi], [hi - lo],
+                                    [n]).astype(np.int64))
         base = int(last_doc[g - 1]) if bi else -1
         ids, tfs = np.cumsum(out[0]) + base, out[1]
         if len(self._block_cache) > 64:
@@ -269,16 +244,13 @@ class TermPostings:
             ids, tfs, row_df = ids[d0:d1], tfs[d0:d1], row_df[row:row + 1]
             buf = self._row_values(row, "pos_bytes")
             byte_ends = np.array([buf.size])
-        has_pos = np.diff(byte_ends, prepend=0) > 0
-        tf_cum = np.concatenate([[0], np.cumsum(tfs)])
-        doc_ends = np.cumsum(row_df)
-        row_tf = tf_cum[doc_ends] - tf_cum[doc_ends - row_df]
-        flat = self._decode(buf, byte_ends, np.where(has_pos, row_tf, 0))
-        if not has_pos.all():
-            keep = np.repeat(has_pos, row_df)
-            ids, tfs = ids[keep], tfs[keep]
-        cuts = np.cumsum(tfs)
-        return ids, segmented_cumsum(flat, tfs), cuts - tfs, cuts
+        pos, lens = self._decode(decode_position_rows, buf, byte_ends, row_df, tfs)
+        if not lens.all():
+            # the docs of rows that store no positions
+            keep = lens > 0
+            ids, lens = ids[keep], lens[keep]
+        cuts = np.cumsum(lens)
+        return ids, pos, cuts - lens, cuts
 
 
 # Separator between a non-default field name and its term in the unified term
@@ -859,7 +831,7 @@ class _Segment:
         self._files = list_parquet_files(pdir)
         if not lazy:
             t = pads.dataset(self._files).to_table(
-                columns=["term", *_POSTINGS_COLUMNS]).combine_chunks()
+                columns=["term", *_PostingsColumns.COLUMNS]).combine_chunks()
             self._cols = _PostingsColumns(t)
             self.terms = np.asarray(t["term"])
             self._dfs = self._cols.df
@@ -926,7 +898,7 @@ class _Segment:
             pf = self._pf.get(fi)
             if pf is None:
                 pf = self._pf[fi] = pq.ParquetFile(self._files[fi])
-            t = pf.read_row_group(rg, columns=list(_POSTINGS_COLUMNS))
+            t = pf.read_row_group(rg, columns=list(_PostingsColumns.COLUMNS))
             if len(self._rg_cache) >= self._RG_CACHE_CAP:
                 self._rg_cache.pop(next(iter(self._rg_cache)))
             self._rg_cache[key] = t
@@ -1231,10 +1203,12 @@ class IndexSearcher:
     def search(self, query: dict, use_wand: bool = True) -> tuple[np.ndarray, np.ndarray]:
         """-> (top doc_ids, scores) per the query's k.
 
-        Scored top-level disjunctions (term / match-or) take the block-max
-        WAND path (skips non-competitive 128-doc blocks without decoding);
-        everything else evaluates exhaustively. Both paths share the same
-        scoring arithmetic and are rank-identical."""
+        With `use_wand` (BM25 only), a single term of global df above 4096
+        takes the impact-ordered block collector, other term / match-or
+        disjunctions the vectorized exhaustive scorer and an exact phrase
+        the impact-bounded phrase collector; everything else evaluates
+        exhaustively. All paths share the same scoring arithmetic and are
+        rank-identical."""
         k = int(query.get("k", 10))
         if self.alt_sim is not None:
             use_wand = False  # block-max bounds are BM25-specific
@@ -1267,10 +1241,7 @@ class IndexSearcher:
                 # single term -> impact-ordered block collector (early-
                 # terminates when impacts are skewed, degenerates to the
                 # exhaustive cost when they are flat); multi-term -> the
-                # vectorized exhaustive disjunction. block_max_topk remains
-                # rank-identical and equivalence-tested for doc-id-
-                # clustered (index-sorted) deployments where interval
-                # skipping pays.
+                # vectorized exhaustive disjunction.
                 if len(dict.fromkeys(terms)) == 1 \
                         and self.global_df(terms[0]) > 4096:
                     from .wand import term_impact_topk
@@ -2596,8 +2567,7 @@ class IndexSearcher:
         df = np.array([c.df[s] for c, s in rows], np.int64)
         self.counters["postings_rows"] += len(rows)
         self.counters["varbyte_decodes"] += 1
-        deltas = varbyte_decode_rows(*_gather(rows, "doc_bytes"), df)
-        ids = np.unique(segmented_cumsum(deltas, df) - 1)
+        ids = np.unique(decode_doc_rows(*_gather(rows, "doc_bytes"), df))
         return ids, np.full(ids.size, boost, np.float64)
 
     def _phrase_setup(self, text: str, field: str | None):

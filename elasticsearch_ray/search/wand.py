@@ -1,4 +1,4 @@
-"""Block-max WAND top-k for scored disjunctions (SURVEY.md §2.5 / §7 step 4).
+"""Impact-ordered top-k for a single scored term (SURVEY.md §2.5 / §7 step 4).
 
 [Lucene 8.5, public knowledge] Lucene engages WAND when the collector runs in
 ScoreMode.TOP_SCORES (reference: search/query/QueryPhase.java:401 with the
@@ -7,151 +7,21 @@ the top-k heap is full, its minimum score becomes the *min competitive score*
 and whole 128-doc blocks whose impact-derived upper bound can't beat it are
 skipped without decoding.
 
-This implementation walks doc-id space in **block-aligned intervals**: the
-next interval ends at the minimum current-block-last-doc across active terms;
-the interval's upper bound is the sum of the active terms' current block
-bounds (from the codec's (max_tf, min_norm_len) block-max metadata). If the
-bound can't beat the current threshold the interval is skipped with zero
-decode work; otherwise the covering blocks are decoded (once, cached) and the
-interval's docs are scored exactly and pushed into a bounded top-k buffer.
-Scoring arithmetic is identical to the exhaustive path, so results are
-rank-identical — asserted by tests against both the exhaustive scorer and the
-brute-force oracle.
-
-Correctness of the skip: every posting of a doc in interval (prev, end] lies
-in some term's *current* block (blocks are consumed in doc order), and
-score(doc) <= sum of those blocks' upper bounds <= `ub`. Ties survive because
-blocks are only skipped on strict `ub < threshold` and the bound dominates
-in-block scores even after float32 rounding (1e-6 relative pad)."""
+Here that skip serves the one query shape where it pays on this engine: a
+single term with a large df (`IndexSearcher.search` routes a term whose
+global df is above 4096 here). `term_impact_topk` decodes the term's blocks
+in descending order of their upper bound, from the codec's (max_tf,
+min_norm_len) block-max metadata, and stops once the k-th score collected
+reaches the best bound left. Multi-term disjunctions score exhaustively with
+vectorized kernels instead: a block-at-a-time walk over several terms costs
+a Python step per block and measured 10-30x slower than exhaustive scoring
+on flat impacts (BASELINE.md, round 3). Scoring arithmetic is the exhaustive
+path's, so results are rank-identical (tested against it)."""
 
 from __future__ import annotations
 
 import numpy as np
 
-
-def block_max_topk(searcher, terms: list[str], k: int, boost: float = 1.0):
-    """Top-k scored disjunction over `terms` using block-max skipping.
-
-    Returns (doc_ids, scores) like IndexSearcher._topk output."""
-    if k <= 0:
-        return np.empty(0, np.int64), np.empty(0, np.float64)
-    bm25 = searcher.bm25
-    f32 = bm25.mode == "lucene"
-    tps, weights, ubs = [], [], []
-    for t in dict.fromkeys(terms):
-        tp = searcher._get_term(t)
-        if tp is None:
-            continue
-        w = bm25.weight(searcher._df(tp), searcher.n_docs, boost)
-        tps.append(tp)
-        weights.append(w)
-        ubs.append(
-            bm25.block_upper_bound(tp.block_max_tf, tp.block_min_norm, searcher.avgdl, w)
-        )
-    if not tps:
-        return np.empty(0, np.int64), np.empty(0, np.float32 if f32 else np.float64)
-
-    n_t = len(tps)
-    n_blocks = np.array([tp.n_blocks for tp in tps])
-    # per-term decoded/scored current-block cache
-    blk: list[tuple[np.ndarray, np.ndarray] | None] = [None] * n_t
-
-    buf_ids: list[np.ndarray] = []
-    buf_sc: list[np.ndarray] = []
-    buf_n = 0
-    thresh = -np.inf
-    full = False
-
-    def _score_block(ti: int) -> tuple[np.ndarray, np.ndarray]:
-        ids, tfs = tps[ti].decode_block(cur_l[ti])
-        if f32:
-            sc = bm25.score_tf(
-                tfs, searcher.norm_bytes[ids], None, searcher.avgdl,
-                weights[ti], searcher._norm_cache32,
-            )
-        else:
-            sc = bm25.score_tf(tfs, None, searcher.doc_lens[ids], searcher.avgdl, weights[ti])
-        return ids, sc
-
-    def _compact():
-        nonlocal buf_ids, buf_sc, buf_n, thresh, full
-        ids = np.concatenate(buf_ids)
-        sc = np.concatenate(buf_sc)
-        # merge duplicates (same doc scored in several intervals can't happen;
-        # same doc from several terms in one interval was already merged) —
-        # so ids are unique here; just prune to top-k with tie handling
-        s_cmp = sc.astype(np.float32) if f32 else sc
-        if ids.size > k:
-            kth = np.partition(s_cmp, s_cmp.size - k)[s_cmp.size - k]
-            keep = s_cmp >= kth
-            ids, sc = ids[keep], sc[keep]
-            thresh = float(kth)
-            full = True
-        elif ids.size == k:
-            thresh = float(s_cmp.min()) if ids.size else -np.inf
-            full = True
-        buf_ids, buf_sc, buf_n = [ids], [sc], ids.size
-
-    # hot loop runs on plain python ints/lists (numpy scalar boxing costs
-    # ~10x per block otherwise); numpy is used only to decode+score blocks
-    last_lists = [tp.block_last_doc.tolist() for tp in tps]
-    ub_lists = [u.tolist() for u in ubs]
-    nb_list = n_blocks.tolist()
-    cur_l = [0] * n_t
-    cur_last = [last_lists[i][0] for i in range(n_t)]
-    cur_ub = [ub_lists[i][0] for i in range(n_t)]
-    active_set = set(range(n_t))
-    prev_end = -1
-    while active_set:
-        end = min(cur_last[i] for i in active_set)
-        ub = sum(cur_ub[i] for i in active_set)
-        if (not full) or ub >= thresh:
-            parts_i, parts_s = [], []
-            for i in active_set:
-                if blk[i] is None:
-                    blk[i] = _score_block(i)
-                ids_b, sc_b = blk[i]
-                lo = np.searchsorted(ids_b, prev_end, side="right")
-                hi = np.searchsorted(ids_b, end, side="right")
-                if hi > lo:
-                    parts_i.append(ids_b[lo:hi])
-                    parts_s.append(sc_b[lo:hi].astype(np.float64))
-            if parts_i:
-                ids_c = np.concatenate(parts_i)
-                sc_c = np.concatenate(parts_s)
-                if len(parts_i) > 1:
-                    uids, inv = np.unique(ids_c, return_inverse=True)
-                    agg = np.zeros(uids.size, np.float64)
-                    np.add.at(agg, inv, sc_c)
-                    ids_c, sc_c = uids, agg
-                buf_ids.append(ids_c)
-                buf_sc.append(sc_c)
-                buf_n += ids_c.size
-                if buf_n > max(4 * k, 256):
-                    # compact early: every compaction raises the min-competitive
-                    # threshold, which is what turns block-max skipping on
-                    _compact()
-        # advance every term whose current block ends at `end`
-        done = []
-        for i in active_set:
-            if cur_last[i] == end:
-                c = cur_l[i] + 1
-                cur_l[i] = c
-                blk[i] = None
-                if c >= nb_list[i]:
-                    done.append(i)
-                else:
-                    cur_last[i] = last_lists[i][c]
-                    cur_ub[i] = ub_lists[i][c]
-        for i in done:
-            active_set.discard(i)
-        prev_end = end
-
-    if not buf_ids:
-        return np.empty(0, np.int64), np.empty(0, np.float32 if f32 else np.float64)
-    ids = np.concatenate(buf_ids)
-    sc = np.concatenate(buf_sc)
-    return searcher._topk(ids, sc, k)
 
 def term_impact_topk(searcher, term: str, k: int, boost: float = 1.0,
                      probe_chunks: tuple[int, ...] = (4, 32)):

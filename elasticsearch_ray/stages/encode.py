@@ -1,10 +1,15 @@
-"""Posting-list encode stage: one shuffle bucket of triples -> encoded rows.
+"""The postings table: its schema, its bulk encoder and its decoder.
 
-Consumes one bucket of the build's term shuffle (the reference analog: Lucene's
-per-segment hash->postings build inside IndexWriter, engaged at
-index/engine/InternalEngine.java:1167).
+Every reader of the row format goes through this module: the searcher views
+a table's columns with `_PostingsColumns`, and merge and split turn rows
+back into triples with `decode_bucket`, the exact inverse of `encode_bucket`.
+The stream formulas themselves are `codec.decode_doc_rows` and
+`codec.decode_position_rows`.
 
-Fully vectorized bulk encoder: ONE varbyte pass over every delta / tf /
+`encode_bucket` turns one bucket of the build's term shuffle into encoded
+rows (the reference analog: Lucene's per-segment hash->postings build inside
+IndexWriter, engaged at index/engine/InternalEngine.java:1167). It is a
+fully vectorized bulk encoder: ONE varbyte pass over every delta / tf /
 position in the bucket, per-(term,chunk) byte ranges sliced from the shared
 buffer via cumulative byte lengths, 128-doc block skip/block-max metadata via
 `np.{maximum,minimum,add}.reduceat` over globally-constructed block starts,
@@ -22,7 +27,15 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..codec import BLOCK_SIZE, encode_postings, varbyte_encode_with_lengths
+from ..codec import (
+    BLOCK_SIZE,
+    decode_doc_rows,
+    decode_position_rows,
+    encode_postings,
+    varbyte_decode_rows,
+    varbyte_encode_with_lengths,
+)
+from ..smallfloat import DECODE_TABLE
 
 POSTINGS_SCHEMA = pa.schema(
     [
@@ -42,6 +55,78 @@ POSTINGS_SCHEMA = pa.schema(
     ]
 )
 
+
+
+class _PostingsColumns:
+    """One postings table as flat NumPy arrays, zero-copy over its Arrow
+    buffers: `df`, and per stream and skip column its row offsets
+    (`offsets[name]`, rows+1 entries) and flat values (`values[name]`).
+    Row i of column `name` is values[name][offsets[name][i]:offsets[name][i+1]].
+    `COLUMNS` are the table columns it needs."""
+
+    STREAMS = ("doc_bytes", "tf_bytes", "pos_bytes")
+    SKIPS = ("skip_last_doc", "skip_doc_off", "skip_tf_off", "skip_max_tf",
+             "skip_min_norm")
+    COLUMNS = ("df",) + STREAMS + SKIPS
+
+    __slots__ = ("df", "offsets", "values")
+
+    def __init__(self, table: pa.Table):
+        def array(name):
+            col = table[name]
+            return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
+
+        self.df = array("df").to_numpy()
+        self.offsets: dict[str, np.ndarray] = {}
+        self.values: dict[str, np.ndarray] = {}
+        for name in self.STREAMS + self.SKIPS:
+            arr = array(name)
+            if name in self.STREAMS:
+                _, offsets, data = arr.buffers()
+                width = np.int64 if pa.types.is_large_binary(arr.type) else np.int32
+                self.offsets[name] = np.frombuffer(offsets, width)[
+                    arr.offset:arr.offset + len(arr) + 1]
+                self.values[name] = (np.frombuffer(data, np.uint8) if data is not None
+                                     else np.empty(0, np.uint8))
+            else:
+                self.offsets[name] = arr.offsets.to_numpy()
+                self.values[name] = arr.values.to_numpy()
+
+    def stream(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """Column `name` of every row, concatenated -> (flat values, per-row
+        end offsets into them)."""
+        o = self.offsets[name]
+        return self.values[name][o[0]:o[-1]], o[1:] - o[0]
+
+
+def decode_bucket(table: pa.Table, norm_bytes: np.ndarray,
+                  base: int = 0) -> pa.Table:
+    """The exact inverse of `encode_bucket`: postings rows -> the (term,
+    chunk, doc_id, tf, norm_len[, positions]) triples they encode, in row
+    order, with norm_len = DECODE_TABLE[norm_bytes[doc_id - base]]. Each
+    stream decodes in one call, and every row is checked for a whole last
+    varint and for the value count its df (or its docs' tfs) gives."""
+    cols = _PostingsColumns(table)
+    dfs = cols.df.astype(np.int64)
+    doc_ids = decode_doc_rows(*cols.stream("doc_bytes"), dfs)
+    tfs = varbyte_decode_rows(*cols.stream("tf_bytes"), dfs).astype(np.int64)
+    rep = pa.array(np.repeat(np.arange(dfs.size), dfs))
+    triples = {
+        "term": pc.take(table["term"], rep),
+        "chunk": pc.take(table["chunk"], rep),
+        "doc_id": pa.array(doc_ids),
+        "tf": pa.array(tfs.astype(np.int32)),
+        "norm_len": pa.array(
+            DECODE_TABLE[norm_bytes[doc_ids - base]].astype(np.int32)),
+    }
+    buf, byte_ends = cols.stream("pos_bytes")
+    if buf.size:
+        pos, lens = decode_position_rows(buf, byte_ends, dfs, tfs)
+        offsets = np.zeros(lens.size + 1, dtype=np.int64)
+        np.cumsum(lens, out=offsets[1:])
+        triples["positions"] = pa.ListArray.from_arrays(
+            pa.array(offsets, pa.int32()), pa.array(pos.astype(np.int32)))
+    return pa.table(triples)
 
 def _binary_column(buf: np.ndarray, byte_starts: np.ndarray, byte_ends: np.ndarray):
     """Zero-copy BinaryArray over contiguous per-row slices of one buffer.

@@ -230,3 +230,70 @@ def test_bulk_encoder_matches_rowwise():
     assert len(a) == len(b)
     for col in a.column_names:
         assert a[col].to_pylist() == b[col].to_pylist(), f"column {col} differs"
+
+
+def _salted_triples(rng, positions: bool):
+    """Triples of 40 terms, three of them salted over 3 chunks, with
+    norm_len taken from a norm byte per doc (as the build stores it);
+    returns (triples, norm bytes)."""
+    import pyarrow as pa
+
+    norm_bytes = rng.integers(0, 256, size=4_000).astype(np.uint8)
+    cols = {"term": [], "chunk": [], "doc_id": [], "tf": [], "positions": []}
+    for term_i in range(40):
+        for chunk in range(3 if term_i < 3 else 1):
+            ids = np.sort(rng.choice(norm_bytes.size, int(rng.integers(1, 400)),
+                                     replace=False))
+            tfs = rng.integers(1, 6, size=ids.size)
+            cols["term"] += [f"t{term_i:03d}"] * ids.size
+            cols["chunk"] += [chunk] * ids.size
+            cols["doc_id"] += ids.tolist()
+            cols["tf"] += tfs.tolist()
+            cols["positions"] += [np.sort(rng.choice(5000, tf, replace=False)).tolist()
+                                  for tf in tfs]
+    doc_ids = np.array(cols["doc_id"], np.int64)
+    t = pa.table({
+        "term": pa.array(cols["term"], pa.string()),
+        "chunk": pa.array(cols["chunk"], pa.int32()),
+        "doc_id": pa.array(doc_ids),
+        "tf": pa.array(cols["tf"], pa.int32()),
+        "norm_len": pa.array(DECODE_TABLE[norm_bytes[doc_ids]].astype(np.int32)),
+    })
+    if positions:
+        t = t.append_column("positions",
+                            pa.array(cols["positions"], pa.list_(pa.int32())))
+    return t, norm_bytes
+
+
+@pytest.mark.parametrize("positions", [True, False])
+def test_decode_bucket_inverts_encode_bucket(positions):
+    """encode_bucket(decode_bucket(t)) == t, and each row's triples equal
+    the per-row reference decode of that row."""
+    from elasticsearch_ray.codec import EncodedPostings
+    from elasticsearch_ray.stages.encode import decode_bucket, encode_bucket
+
+    triples, norm_bytes = _salted_triples(np.random.default_rng(5), positions)
+    t = encode_bucket(triples)
+    decoded = decode_bucket(t, norm_bytes)
+    assert ("positions" in decoded.column_names) == positions
+    assert encode_bucket(decoded).equals(t)
+
+    got = decoded.to_pydict()
+    at = 0
+    for r in t.to_pylist():
+        enc = EncodedPostings(**{k: np.array(v) if k.startswith("skip_") else v
+                                 for k, v in r.items()
+                                 if k not in ("term", "chunk")})
+        ids, tfs = decode_postings(enc)
+        span = slice(at, at + r["df"])
+        assert got["term"][span] == [r["term"]] * r["df"]
+        assert got["chunk"][span] == [r["chunk"]] * r["df"]
+        assert got["doc_id"][span] == ids.tolist()
+        assert got["tf"][span] == tfs.tolist()
+        assert got["norm_len"][span] == DECODE_TABLE[norm_bytes[ids]].tolist()
+        if positions:
+            assert got["positions"][span] == [p.tolist() for p in decode_positions(enc, tfs)]
+        else:
+            assert r["pos_bytes"] == b""
+        at += r["df"]
+    assert at == len(decoded)

@@ -141,10 +141,8 @@ def test_merge_lineage_live_segments(index_dir):
 def test_wand_equals_exhaustive(searcher):
     """Every pruning collector must be rank-identical to the exhaustive
     scorer: the search() routing (impact-probe single term + exhaustive
-    disjunction), AND block_max_topk directly (kept for index-sorted
-    deployments but no longer on the default routing after the round-3
-    flat-impact measurements — BASELINE.md)."""
-    from elasticsearch_ray.search.wand import block_max_topk, term_impact_topk
+    disjunction), and term_impact_topk called directly."""
+    from elasticsearch_ray.search.wand import term_impact_topk
 
     queries = [q for q in reference_queries()
                if q["kind"] == "term"
@@ -162,9 +160,6 @@ def test_wand_equals_exhaustive(searcher):
         k = int(q.get("k", 10))
         terms = ([q["term"]] if q["kind"] == "term"
                  else searcher.analyzer(q["text"]))
-        b_ids, b_sc = block_max_topk(searcher, terms, k)
-        assert list(b_ids) == list(e_ids), f"block_max order mismatch: {q}"
-        np.testing.assert_array_equal(b_sc, e_sc, err_msg=str(q))
         if len(dict.fromkeys(terms)) == 1:
             i_ids, i_sc = term_impact_topk(searcher, terms[0], k)
             assert list(i_ids) == list(e_ids), f"impact order mismatch: {q}"

@@ -459,8 +459,8 @@ def test_overlapping_postings_rows_raise():
     correctly, so loading it fails and names the term."""
     import pyarrow as pa
 
-    from elasticsearch_ray.search.engine import TermPostings, _PostingsColumns
-    from elasticsearch_ray.stages.encode import encode_bucket
+    from elasticsearch_ray.search.engine import TermPostings
+    from elasticsearch_ray.stages.encode import _PostingsColumns, encode_bucket
 
     def rows(spans):
         term, chunk, doc = [], [], []
@@ -484,3 +484,98 @@ def test_overlapping_postings_rows_raise():
         TermPostings("tree", rows([[0, 10], [5, 7]]))
     with pytest.raises(ValueError, match="'tree'"):
         TermPostings("tree", rows([[0, 5], [5, 7]]))
+
+
+def _rows_with_swapped_dfs():
+    """Two doc-adjacent ("a", 0) postings rows of 3 and 2 docs whose dfs
+    are swapped to 2 and 3: the two doc streams still hold 5 values."""
+    import pyarrow as pa
+
+    from elasticsearch_ray.stages.encode import encode_bucket
+
+    def row(docs):
+        n = len(docs)
+        return encode_bucket(pa.table({
+            "term": ["a"] * n, "chunk": pa.array([0] * n, pa.int32()),
+            "doc_id": pa.array(docs, pa.int64()),
+            "tf": pa.array([1] * n, pa.int32()),
+            "norm_len": pa.array([4] * n, pa.int32()),
+            "positions": pa.array([[0]] * n, pa.list_(pa.int32())),
+        }))
+
+    t = pa.concat_tables([row([0, 1, 2]), row([3, 4])]).combine_chunks()
+    return t.set_column(t.schema.get_field_index("df"), "df",
+                        pa.array([2, 3], pa.int64()))
+
+
+def test_merge_rejects_a_row_whose_df_disagrees_with_its_bytes():
+    from elasticsearch_ray.index.merge import _merge_rows_table
+
+    with pytest.raises(ValueError, match="row 0: decoded 3 values, expected 2"):
+        _merge_rows_table(_rows_with_swapped_dfs(), np.zeros(16, np.uint8))
+
+
+def test_split_rejects_a_row_whose_df_disagrees_with_its_bytes(tmp_path):
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from elasticsearch_ray.index.manifest import SegmentManifest
+    from elasticsearch_ray.index.reshape import _split_segment
+
+    sid = "seg_000000000000"
+    seg = tmp_path / "src" / sid
+    for sub in ("docmeta", "postings"):
+        (seg / sub).mkdir(parents=True)
+    pq.write_table(pa.table({
+        "doc_id": pa.array(range(5), pa.int64()),
+        "norm_byte": pa.array([4] * 5, pa.uint8()),
+        "doc_len": pa.array([4] * 5, pa.int32())}),
+        str(seg / "docmeta" / "part.parquet"))
+    pq.write_table(_rows_with_swapped_dfs(), str(seg / "postings" / "part.parquet"))
+    m = SegmentManifest(segment_id=sid, fragments=[], doc_count=5,
+                        sum_doc_len=20, term_count=1, doc_id_min=0,
+                        doc_id_max=4, analyzer="code", index_positions=True,
+                        build_seconds=0.0)
+    with pytest.raises(ValueError, match="row 0: decoded 3 values, expected 2"):
+        _split_segment(str(tmp_path / "src"), sid, m, str(tmp_path / "dst"), 2)
+    assert not (tmp_path / "dst").exists()
+
+
+def test_merge_survives_a_reduce_worker_crash(dirs, tmp_path, monkeypatch):
+    """A merge reduce task whose worker process exits on its first attempt
+    is retried by Ray, and the merged segment equals a clean merge's: the
+    same postings rows and the same answers to the reference queries."""
+    import sys
+
+    import ray.cloudpickle
+
+    import elasticsearch_ray.index.merge as M
+
+    _, index_dir = dirs
+    clean, crashed = str(tmp_path / "clean"), str(tmp_path / "crashed")
+    shutil.copytree(index_dir, clean)
+    shutil.copytree(index_dir, crashed)
+    force_merge(clean)
+
+    marker = str(tmp_path / "crashed-once")
+    task = M._merge_bucket_task
+
+    def exit_on_first_attempt(out_path, norm_bytes, base, *tables):
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return task(out_path, norm_bytes, base, *tables)
+        os._exit(1)
+
+    monkeypatch.setattr(M, "_merge_bucket_task", exit_on_first_attempt)
+    # the test module is not importable in Ray workers: ship the wrapper
+    this = sys.modules[__name__]
+    ray.cloudpickle.register_pickle_by_value(this)
+    try:
+        force_merge(crashed)
+    finally:
+        ray.cloudpickle.unregister_pickle_by_value(this)
+    assert os.path.exists(marker)
+    assert len(live_segments(committed_segments(crashed))) == 1
+    assert _postings_rows(crashed) == _postings_rows(clean)
+    assert _all_results(crashed)[0] == _all_results(clean)[0]
