@@ -2,7 +2,7 @@
 
 entry()      — flagship pipeline at sf0.001: build the documents inverted
                index (resumable, partitioned) and serve the reference-style
-               query set through the actor-pool searcher stage.
+               query set through the partition searcher actors.
 queries()    — one entry per implemented operator/pipeline (SURVEY.md §2).
 oracle_sql() — DuckDB-equivalent SQL for every SQL-expressible operator;
                non-SQL ops (sketches, LSH, heuristics, stubs) are omitted and
@@ -73,7 +73,7 @@ _SCORE = (
 
 
 def entry() -> Any:
-    """Flagship: documents index build + actor-pool BM25 serving at sf0.001."""
+    """Flagship: documents index build + partition-actor BM25 serving at sf0.001."""
     from elasticsearch_ray.pipelines.fulltext import documents_index
     from elasticsearch_ray.search.stage import search_dataset
 
@@ -88,7 +88,7 @@ def entry() -> Any:
          "must_not": [{"kind": "term", "term": "vector"}], "k": 10},
         {"kind": "prefix", "prefix": "cust", "k": 10},
     ]
-    return search_dataset(idx, queries, concurrency=2, score_mode="lucene")
+    return search_dataset(idx, queries, concurrency=2)
 
 
 def queries() -> dict[str, Callable[[str], Any]]:

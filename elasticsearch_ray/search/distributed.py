@@ -12,9 +12,12 @@ Mirrors the reference's coordinator protocol (SURVEY.md §3.2):
      (N, avgdl, df, ttf) exactly like the reference's dfs_query_then_fetch
      (action/search/SearchDfsQueryThenFetchAsyncAction.java), without its
      per-query DFS round;
-  3. query phase: ONE fan-out per query — each actor returns its local top-k;
-  4. reduce — k-way merge of the tiny per-actor candidate sets by
-     (score desc, doc_id asc) (SearchPhaseController.mergeTopDocs:221-243).
+  3. query phase: ONE fan-out per list of queries — each actor returns its
+     local top-k of every query. A single search is a list of one; a Ray
+     Data batch of queries (search/stage.py) is the `_msearch` analog;
+  4. reduce — `search_batch` orders the tiny per-actor candidate sets of
+     each query by (score desc, doc_id asc) and cuts them at the query's k
+     (SearchPhaseController.mergeTopDocs:221-243).
 
 Results are identical to a single global searcher (asserted in tests) — the
 partitioned path exists so query serving scales out with segments.
@@ -60,6 +63,28 @@ def collection_stats(index_dir: str, segment_ids: list[str]):
             sum(m.sum_doc_len for m in manifests), term_stats, field_sums)
 
 
+def search_batch(actors, queries: list[dict]):
+    """Fan `queries` out to every partition actor in one round, then merge
+    each query's candidates by (score desc, doc_id asc) and cut them at its
+    own k. -> (query_index, rank, doc_id, score) arrays, ordered by query
+    index and rank; ranks count from 1."""
+    import ray
+
+    hits = [h for part in ray.get([a.search.remote(queries) for a in actors])
+            for h in part]
+    counts = np.array([len(ids) for ids, _ in hits], np.int64)
+    qi = np.repeat(np.tile(np.arange(len(queries)), len(actors)), counts)
+    docs = np.concatenate(
+        [np.asarray(ids, np.int64) for ids, _ in hits] + [np.empty(0, np.int64)])
+    scores = np.concatenate([sc for _, sc in hits] + [np.empty(0)])
+    order = np.lexsort((docs, -scores, qi))
+    qi, docs, scores = qi[order], docs[order], scores[order]
+    rank = np.arange(qi.size) - np.searchsorted(qi, qi) + 1
+    ks = np.array([int(q.get("k", 10)) for q in queries], np.int64)
+    keep = rank <= ks[qi]
+    return qi[keep], rank[keep], docs[keep], scores[keep]
+
+
 class SearcherActor:
     """One data-node role: an IndexSearcher over a partition of segments,
     scoring with the statistics of every segment the coordinator serves."""
@@ -71,9 +96,10 @@ class SearcherActor:
         self.searcher = IndexSearcher(index_dir, segments=segments, **kw)
         self.searcher.set_global_stats(*collection_stats(index_dir, all_segments))
 
-    def search(self, q: dict, use_wand: bool = True):
-        ids, sc = self.searcher.search(q, use_wand=use_wand)
-        return ids, np.asarray(sc, dtype=np.float64)
+    def search(self, queries: list[dict]):
+        """-> one (doc ids, float64 scores) local top-k per query."""
+        return [(ids, np.asarray(sc, dtype=np.float64))
+                for ids, sc in map(self.searcher.search, queries)]
 
     def matched(self, named: dict):
         return self.searcher.matched_queries(named)
@@ -88,6 +114,8 @@ class DistributedSearcher:
         from ..index.manifest import committed_segments, live_segments
 
         seg_ids = sorted(live_segments(committed_segments(index_dir)))
+        if not seg_ids:
+            raise ValueError(f"no committed segments under {index_dir}")
         num_searchers = max(1, min(num_searchers, len(seg_ids)))
         assign: list[list[str]] = [[] for _ in range(num_searchers)]
         for i, sid in enumerate(seg_ids):
@@ -108,24 +136,17 @@ class DistributedSearcher:
         # wait for the constructors: a partition that fails to load fails
         # here, not at the first query
         ray.get([a.__ray_ready__.remote() for a in self.actors])
-        self._ray = ray
 
-    def search(self, q: dict, use_wand: bool = True):
-        k = int(q.get("k", 10))
-        results = self._ray.get([a.search.remote(q, use_wand) for a in self.actors])
-        ids = np.concatenate([r[0] for r in results]) if results else np.empty(0, np.int64)
-        sc = np.concatenate([r[1] for r in results]) if results else np.empty(0)
-        if ids.size == 0:
-            return ids.astype(np.int64), sc
-        order = np.lexsort((ids, -sc))[:k]
-        return ids[order].astype(np.int64), sc[order]
+    def search(self, q: dict):
+        _, _, ids, sc = search_batch(self.actors, [q])
+        return ids, sc
 
     def matched_queries(self, named: dict):
         """Fan-out matched_queries: each actor annotates its own partition;
         the reduce is a concat of (doc_id, matched) rows."""
         import pandas as pd
+        import ray
 
-        ray = self._ray
         parts = ray.get([a.matched.remote(named) for a in self.actors])
         out = pd.concat(parts, ignore_index=True)
         return out.sort_values("doc_id").reset_index(drop=True)

@@ -19,12 +19,11 @@ Mirrors the reference's query-then-fetch pipeline in miniature:
     (SURVEY.md §2.14) aggregated over all committed segments.
 
 The stats + term dictionary + decoded-posting cache live in a stateful
-searcher, served two ways: `search/distributed.py` gives each Ray actor a
+searcher. `search/distributed.py` serves it at scale: each Ray actor gets a
 partition of segments plus the collection-wide statistics (installed once
-with `set_global_stats`) and merges the per-actor top-k
+with `set_global_stats`), and the per-actor top-k are merged
 (SearchPhaseController.mergeTopDocs:221-243 analog); `search/stage.py`
-maps a *dataset of queries* over an actor pool in which every actor loads
-all segments, so no merge is needed there.
+sends a *dataset of queries* through those same actors in batches.
 
 Query dicts (the DSL, mirroring SearchModule.java:780 registrations):
   term, match (or/and), match_phrase, match_phrase_prefix, prefix, wildcard,

@@ -15,9 +15,9 @@ Two semantics matter for parity:
 
 Ray mapping: each index is an IndexSearcher. At scale an index is served
 by actors: `DistributedSearcher` gives each actor a partition of the
-segments, while every actor of the `SearcherStage` pool loads every
-segment. A multi-node deployment gives each index its own actors, and
-this merge is the coordinator reduce: k×indices rows total, driver-tiny.
+segments, and `search_dataset` sends query batches to those same actors.
+A multi-node deployment gives each index its own actors, and this merge is
+the coordinator reduce: k×indices rows in total.
 """
 
 from __future__ import annotations

@@ -85,35 +85,49 @@ def test_searcher_stage_dataset(dirs):
 
 
 def test_searcher_stage_batch_rows_and_zero_hit_schema(dirs):
-    """One SearcherStage batch: per-query rows in rank order with the fetched
-    columns aligned; a zero-hit batch keeps the same schema."""
+    """One search_dataset batch through the partition actors: per-query rows
+    in rank order, each cut at its own k (0 included), ties across
+    partitions ordered by doc_id; a zero-hit batch keeps the same schema."""
     import json
 
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from elasticsearch_ray.search.stage import SearcherStage
+    from elasticsearch_ray.search.distributed import DistributedSearcher
+    from elasticsearch_ray.search.stage import _search_rows
 
     _, index_dir = dirs
-    stage = SearcherStage(index_dir, fetch_columns=["path", "doc_id"])
-    qs = reference_queries()[:6]
+    actors = DistributedSearcher(index_dir, num_searchers=2).actors
+    single = IndexSearcher(index_dir)
+    q = {"kind": "match", "text": "def return scan"}
+    qs = [*reference_queries()[:6],
+          {**q, "qid": 90, "k": 0},
+          {**q, "qid": 91, "k": 3},
+          {**q, "qid": 92, "k": 7},
+          # every doc scores 1.0: the cut runs across all four segments
+          {"qid": 93, "kind": "match_all", "k": single.n_docs}]
 
     def batch(queries):
         return pa.table({"qid": pa.array([q["qid"] for q in queries], pa.int64()),
                          "query": [json.dumps(q) for q in queries]})
 
-    out = stage(batch(qs))
-    empty = stage(batch([{"qid": 99, "kind": "term", "term": "zzznotaterm"}]))
+    out = _search_rows(batch(qs), actors)
+    empty = _search_rows(batch([{"qid": 99, "kind": "term", "term": "zzznotaterm"}]),
+                         actors)
     assert len(empty) == 0 and empty.schema == out.schema
-    assert out.schema.names == ["qid", "rank", "doc_id", "score", "path"]
-    paths = stage.searcher.fetch(out["doc_id"].to_numpy(), ["path"])["path"]
-    assert out["path"].to_pylist() == paths.to_pylist()
+    assert out.schema.names == ["qid", "rank", "doc_id", "score"]
     for q in qs:
-        ids, sc = stage.searcher.search(q)
+        ids, sc = single.search(q)
         rows = out.filter(pc.equal(out["qid"], q["qid"]))
         assert rows["rank"].to_pylist() == list(range(1, len(ids) + 1))
         assert rows["doc_id"].to_pylist() == [int(i) for i in ids]
         assert rows["score"].to_pylist() == [float(s) for s in sc]
+    counts = pc.value_counts(out["qid"]).to_pylist()
+    assert {c["values"]: c["counts"] for c in counts if c["values"] >= 90} == {
+        91: 3, 92: 7, 93: single.n_docs}
+    ties = out.filter(pc.equal(out["qid"], 93))
+    assert set(ties["score"].to_pylist()) == {1.0}
+    assert ties["doc_id"].to_pylist() == sorted(ties["doc_id"].to_pylist())
 
 
 def test_snapshot_restore(dirs, tmp_path):
