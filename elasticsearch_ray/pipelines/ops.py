@@ -6245,7 +6245,7 @@ def knn_scalar_quantized(sf_dir: str):
 def ft_rrf_hybrid(sf_dir: str):
     """Reciprocal rank fusion of a BM25 leg and a cosine-kNN leg (hybrid
     retrieval; RRF per Cormack et al. 2009, the combiner ES exposes as
-    `rank.rrf`). Both legs are the existing distributed retrievers (WAND
+    `rank.rrf`). Both legs are the existing distributed retrievers (BM25
     top-k over the inverted index; brute-force cosine with broadcast
     queries); fusion touches only the two 50-row result lists. Ranks are
     assigned on the ROUNDED scores (4dp BM25 / 6dp cosine, ties by id) so

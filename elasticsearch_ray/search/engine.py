@@ -1,18 +1,16 @@
-"""Query engine: term dictionary + posting decode + BM25 top-k with
-impact-bounded pruning (SURVEY.md §2.4/§2.5/§7 step 4).
+"""Query engine: term dictionary + posting decode + BM25 top-k
+(SURVEY.md §2.4/§2.5/§7 step 4).
 
 Mirrors the reference's query-then-fetch pipeline in miniature:
-  - per-query collector with bounded top-k and skipping
-    (search/query/QueryPhase.java:401 engages ScoreMode.TOP_SCORES ->
-    block-max WAND; TopDocsCollectorContext.java:213-217); here a single
-    hot term is collected in block-max order over the codec's skip/block-max
-    metadata (`wand.term_impact_topk`), exact phrases through an
-    impact-bounded verifier, and every other disjunction exhaustively with
-    vectorized scoring;
+  - per-query collector with bounded top-k
+    (search/query/TopDocsCollectorContext.java:213-217): every query
+    evaluates exhaustively with vectorized scoring, then takes its top k;
+    an exact phrase with many candidates verifies positions in
+    score-bound order and stops early (`_phrase_topk`);
   - boolean set algebra on sorted posting lists
-    (index/query/BoolQueryBuilder.java): AND = galloping/selective-block
-    intersect, OR = scored union, must_not = sorted diff, filter = unscored
-    intersect;
+    (index/query/BoolQueryBuilder.java): AND = sorted intersect from the
+    rarest term up, OR = scored union, must_not = sorted diff, filter =
+    unscored intersect;
   - analyze-then-combine for match queries
     (index/search/MatchQuery.java:249-291);
   - global collection stats (N, df, avgdl) = the dfs_query_then_fetch scope
@@ -44,12 +42,7 @@ import pyarrow as pa
 import pyarrow.dataset as pads
 
 from ..analyzer import get_analyzer
-from ..codec import (
-    BLOCK_SIZE,
-    decode_doc_rows,
-    decode_position_rows,
-    varbyte_decode_rows,
-)
+from ..codec import decode_doc_rows, decode_position_rows, varbyte_decode_rows
 from ..index.manifest import committed_segments, live_segments
 from ..stages.encode import _PostingsColumns
 from .similarity import BM25
@@ -85,6 +78,19 @@ def _first_values(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.
     return out
 
 
+def _common_docs(tps) -> np.ndarray:
+    """The sorted doc ids that every TermPostings in `tps` holds,
+    intersected from the rarest term up."""
+    tps = sorted(tps, key=lambda tp: tp.df)
+    cand = tps[0].doc_ids
+    for tp in tps[1:]:
+        if cand.size == 0:
+            break
+        idx = np.minimum(np.searchsorted(tp.doc_ids, cand), tp.doc_ids.size - 1)
+        cand = cand[tp.doc_ids[idx] == cand]
+    return cand
+
+
 class TermPostings:
     """One term's postings across segments and salt chunks, decoded lazily.
 
@@ -92,17 +98,13 @@ class TermPostings:
     segments' flat columns: `rows` holds (columns, row index) pairs sorted
     by first doc, and `row_df` their dfs. The rows cover disjoint, ordered
     doc ranges (checked here: overlapping rows raise), so their streams
-    concatenate into one doc-ordered posting list — decoded with one
-    `varbyte_decode_rows` call per stream — and their block sequences into
-    one global block view: `block_last_doc` / `block_max_tf` /
-    `block_min_norm` index it directly. The single-term impact collector
-    (`wand.term_impact_topk`) orders blocks by these bounds without
-    decoding, and decodes single 128-doc blocks on demand via the skip
-    offsets. `counters` (the searcher's) counts decode calls."""
+    concatenate into one doc-ordered posting list, decoded with one
+    `varbyte_decode_rows` call per stream. `counters` (the searcher's)
+    counts decode calls."""
 
     __slots__ = (
-        "term", "df", "rows", "row_df", "_counters", "_blocks", "_full",
-        "_block_cache", "_pos_merged", "_pos_cache_elems",
+        "term", "df", "rows", "row_df", "_counters", "_full",
+        "_pos_merged", "_pos_cache_elems",
     )
 
     def __init__(self, term: str, pieces: list[tuple[_PostingsColumns, np.ndarray]],
@@ -131,9 +133,7 @@ class TermPostings:
         self.row_df = np.array([c.df[s] for c, s in rows], np.int64)
         self.df = int(self.row_df.sum())
         self._counters = Counter() if counters is None else counters
-        self._blocks: tuple[np.ndarray, ...] | None = None
         self._full: tuple[np.ndarray, np.ndarray] | None = None
-        self._block_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._pos_merged = None  # _merged_positions: its cache, or False
         self._pos_cache_elems = 0  # cached position count (searcher budget)
 
@@ -153,39 +153,6 @@ class TermPostings:
         self._counters["varbyte_decodes"] += 1
         return decode(*args)
 
-    def _block_view(self) -> tuple[np.ndarray, ...]:
-        """(last_doc, doc_off, tf_off, max_tf, min_norm, row_of_block,
-        block_in_row) over the global block sequence, gathered once."""
-        if self._blocks is None:
-            skips = {}
-            for name in _PostingsColumns.SKIPS:
-                skips[name], ends = _gather(self.rows, name)
-            n_row_blocks = np.diff(ends, prepend=0)
-            row_of_block = np.repeat(np.arange(len(self.rows)), n_row_blocks)
-            block_in_row = np.arange(int(ends[-1])) - (ends - n_row_blocks)[row_of_block]
-            self._blocks = (
-                skips["skip_last_doc"].astype(np.int64), skips["skip_doc_off"],
-                skips["skip_tf_off"], skips["skip_max_tf"].astype(np.int64),
-                skips["skip_min_norm"].astype(np.int64), row_of_block,
-                block_in_row)
-        return self._blocks
-
-    @property
-    def block_last_doc(self) -> np.ndarray:
-        return self._block_view()[0]
-
-    @property
-    def block_max_tf(self) -> np.ndarray:
-        return self._block_view()[3]
-
-    @property
-    def block_min_norm(self) -> np.ndarray:
-        return self._block_view()[4]
-
-    @property
-    def n_blocks(self) -> int:
-        return self.block_last_doc.size
-
     def decode_all(self) -> tuple[np.ndarray, np.ndarray]:
         """(doc_ids, tfs) of every row: one decode call per stream."""
         if self._full is None:
@@ -204,29 +171,6 @@ class TermPostings:
     @property
     def tfs(self) -> np.ndarray:
         return self.decode_all()[1]
-
-    def decode_block(self, g: int) -> tuple[np.ndarray, np.ndarray]:
-        """Decode global block g only (skip-pointer random access)."""
-        hit = self._block_cache.get(g)
-        if hit is not None:
-            return hit
-        last_doc, doc_off, tf_off, _, _, row_of_block, block_in_row = self._block_view()
-        ri, bi = int(row_of_block[g]), int(block_in_row[g])
-        in_row = g + 1 < row_of_block.size and row_of_block[g + 1] == ri
-        n = min(BLOCK_SIZE, int(self.row_df[ri]) - bi * BLOCK_SIZE)
-        out = []
-        for name, off in (("doc_bytes", doc_off), ("tf_bytes", tf_off)):
-            row = self._row_values(ri, name)
-            lo = int(off[g])
-            hi = int(off[g + 1]) if in_row else row.size
-            out.append(self._decode(varbyte_decode_rows, row[lo:hi], [hi - lo],
-                                    [n]).astype(np.int64))
-        base = int(last_doc[g - 1]) if bi else -1
-        ids, tfs = np.cumsum(out[0]) + base, out[1]
-        if len(self._block_cache) > 64:
-            self._block_cache.clear()
-        self._block_cache[g] = (ids, tfs)
-        return ids, tfs
 
     def decode_positions(self, row: int | None = None) -> tuple[np.ndarray, ...]:
         """(ids, pos, starts, cuts) of the docs of every row that stores
@@ -1199,63 +1143,17 @@ class IndexSearcher:
         except Exception as ex:  # noqa: BLE001 — any engine rejection
             return False, f"{type(ex).__name__}: {ex}"
 
-    def search(self, query: dict, use_wand: bool = True) -> tuple[np.ndarray, np.ndarray]:
-        """-> (top doc_ids, scores) per the query's k.
-
-        With `use_wand` (BM25 only), a single term of global df above 4096
-        takes the impact-ordered block collector, other term / match-or
-        disjunctions the vectorized exhaustive scorer and an exact phrase
-        the impact-bounded phrase collector; everything else evaluates
-        exhaustively. All paths share the same scoring arithmetic and are
-        rank-identical."""
+    def search(self, query: dict) -> tuple[np.ndarray, np.ndarray]:
+        """-> (top doc_ids, scores) per the query's k. An exact phrase takes
+        the impact-bounded phrase collector (`_phrase_topk`); every other
+        query evaluates exhaustively. Both score alike and are
+        rank-identical (tested)."""
         k = int(query.get("k", 10))
-        if self.alt_sim is not None:
-            use_wand = False  # block-max bounds are BM25-specific
-        if use_wand and self._norm_field(query.get("field")) is None:
-            kind = query["kind"]
-            boost = float(query.get("boost", 1.0))
-            terms = None
-            if kind == "term":
-                terms = [query["term"]]
-            elif (kind == "match" and query.get("operator", "or") == "or"
-                  and query.get("minimum_should_match") is None):
-                # msm != None must route through _eval -> _terms_set: the
-                # disjunction fast path would return docs matching any 1 term
-                terms = self._analyzer_for(None)(query["text"])
-                if not terms:
-                    if query.get("zero_terms_query", "none") == "all":
-                        # MatchQuery.ZeroTermsQuery.ALL — same rewrite the
-                        # exhaustive path applies
-                        return self.search({**query, "kind": "match_all"},
-                                           use_wand=False)
-                    return np.empty(0, np.int64), np.empty(0, np.float64)
-            if terms is not None:
-                # Collector routing, re-measured at 400k docs (round 3,
-                # BASELINE.md): block-at-a-time WAND's ~0.1 ms/block Python
-                # overhead is ~30x the vectorized per-posting cost, so it
-                # only wins when >97% of blocks are skippable — which the
-                # flat-impact synthetic corpus never reaches (every mix
-                # measured 10-30x SLOWER than exhaustive: 'def' 290 ms vs
-                # 9 ms; rare+hot 'def kaorva' 502 ms vs 47 ms). Routing:
-                # single term -> impact-ordered block collector (early-
-                # terminates when impacts are skewed, degenerates to the
-                # exhaustive cost when they are flat); multi-term -> the
-                # vectorized exhaustive disjunction.
-                if len(dict.fromkeys(terms)) == 1 \
-                        and self.global_df(terms[0]) > 4096:
-                    from .wand import term_impact_topk
-
-                    return term_impact_topk(self, terms[0], k, boost)
-                ids, sc = self._disjunction(terms, boost)
-                return self._topk(ids, sc, k)
-            if kind == "match_phrase" and int(query.get("slop", 0)) == 0:
-                # impact-bounded phrase collector: verify positions only for
-                # candidates whose min-tf score bound can still enter the
-                # top-k (the PhraseQuery impacts analog); rank-identical to
-                # the exhaustive path (tested)
-                return self._phrase_topk(query["text"], k, boost)
-        ids, sc = self._eval(query)
-        return self._topk(ids, sc, k)
+        if query["kind"] == "match_phrase" and int(query.get("slop", 0)) == 0:
+            return self._phrase_topk(query["text"], k,
+                                     float(query.get("boost", 1.0)),
+                                     self._norm_field(query.get("field")))
+        return self._topk(*self._eval(query), k)
 
     def _eval(self, q: dict) -> tuple[np.ndarray, np.ndarray]:
         kind = q["kind"]
@@ -1758,11 +1656,7 @@ class IndexSearcher:
             if tp is None:
                 return np.empty(0, np.int64), np.empty(0, np.float64)
             tps.append(tp)
-        cand = tps[0].doc_ids
-        for tp in tps[1:]:
-            idx = np.searchsorted(tp.doc_ids, cand)
-            idx = np.minimum(idx, tp.doc_ids.size - 1)
-            cand = cand[tp.doc_ids[idx] == cand]
+        cand = _common_docs(tps)
         if cand.size == 0:
             return cand, np.empty(0, np.float64)
         pos_maps = [self._positions_for(tp, cand) for tp in tps]
@@ -2530,14 +2424,9 @@ class IndexSearcher:
             if tp is None:
                 return np.empty(0, np.int64), np.empty(0, np.float64)
             by_term[t] = tp
-        tps = sorted(by_term.values(), key=lambda tp: tp.df)
-        cand = tps[0].doc_ids
-        for tp in tps[1:]:
-            idx = np.searchsorted(tp.doc_ids, cand)
-            idx = np.minimum(idx, tp.doc_ids.size - 1)
-            cand = cand[tp.doc_ids[idx] == cand]
-            if cand.size == 0:
-                return cand, np.empty(0, np.float64)
+        cand = _common_docs(by_term.values())
+        if cand.size == 0:
+            return cand, np.empty(0, np.float64)
         total = np.zeros(cand.size, np.float64)
         for t in terms:  # one score contribution PER OCCURRENCE
             tp = by_term[t]
@@ -2571,8 +2460,8 @@ class IndexSearcher:
 
     def _phrase_setup(self, text: str, field: str | None):
         """(rel, tps, cand): analyzed phrase offsets, term postings and the
-        sorted conjunction candidates — shared by the exhaustive and
-        impact-bounded phrase paths."""
+        sorted conjunction candidates — shared by the exhaustive,
+        impact-bounded and sloppy phrase paths."""
         terms_pos = self._analyzer_for(field).positions(text)
         if not terms_pos:
             return None
@@ -2584,11 +2473,7 @@ class IndexSearcher:
             if tp is None:
                 return None
             tps.append(tp)
-        cand = tps[0].doc_ids
-        for tp in tps[1:]:
-            idx = np.searchsorted(tp.doc_ids, cand)
-            idx = np.minimum(idx, tp.doc_ids.size - 1)
-            cand = cand[tp.doc_ids[idx] == cand]
+        cand = _common_docs(tps)
         return rel, tps, cand
 
     def _phrase_freqs(self, rel, tps, cand):
@@ -2686,7 +2571,7 @@ class IndexSearcher:
         candidates instead of all of them. Rank-identical to the exhaustive
         path (tested)."""
         setup = self._phrase_setup(text, field)
-        if setup is None:
+        if setup is None or k <= 0:
             return np.empty(0, np.int64), np.empty(0, np.float64)
         rel, tps, cand = setup
         if len(tps) == 1:
@@ -2768,25 +2653,12 @@ class IndexSearcher:
         when it passes). Phrases with repeated terms run the full repeats
         machinery (_sloppy_freq_rpts): repeat groups, collision resolution by
         advancing the lesser pp, init-time group separation."""
-        terms_pos = self._analyzer_for(field).positions(text)
-        if not terms_pos:
+        setup = self._phrase_setup(text, field)
+        if setup is None:
             return np.empty(0, np.int64), np.empty(0, np.float64)
-        if len(terms_pos) == 1:
+        rel, tps, cand = setup
+        if len(tps) == 1:
             return self._phrase(text, boost, field)
-        terms = [t for t, _ in terms_pos]
-        base0 = terms_pos[0][1]
-        rel = [(t, p - base0) for t, p in terms_pos]
-        tps = []
-        for t, _ in rel:
-            tp = self._get_term(t, field)
-            if tp is None:
-                return np.empty(0, np.int64), np.empty(0, np.float64)
-            tps.append(tp)
-        cand = tps[0].doc_ids
-        for tp in tps[1:]:
-            idx = np.searchsorted(tp.doc_ids, cand)
-            idx = np.minimum(idx, tp.doc_ids.size - 1)
-            cand = cand[tp.doc_ids[idx] == cand]
         if cand.size == 0:
             return cand, np.empty(0, np.float64)
         # adjusted position lists per (term, candidate)
@@ -2817,18 +2689,8 @@ class IndexSearcher:
         cand, freqs = cand[keep], freqs[keep]
         if cand.size == 0:
             return cand, np.empty(0, np.float64)
-        norm_bytes, doc_lens, avgdl, cache32 = self._field_stats(field)
-        if self.bm25.mode == "lucene":
-            idf_sum = np.float32(0.0)
-            for tp in tps:
-                idf_sum = np.float32(idf_sum + self.bm25.idf(self._df(tp), self.n_docs))
-            w = (np.float32(boost) * (np.float32(self.bm25.k1) + np.float32(1.0))) * idf_sum
-            sc = self.bm25.score_tf(freqs, norm_bytes[cand], None, avgdl, w, cache32)
-        else:
-            idf_sum = sum(self.bm25.idf(self._df(tp), self.n_docs) for tp in tps)
-            w = boost * idf_sum * (self.bm25.k1 + 1)
-            sc = self.bm25.score_tf(freqs, None, doc_lens[cand], avgdl, w)
-        return cand, sc.astype(np.float64)
+        w = self._phrase_weight(tps, boost)
+        return cand, self._phrase_score(freqs, cand, w, field).astype(np.float64)
 
     def _merged_positions(self, tp: TermPostings):
         """One (ids, pos, starts, cuts) structure for ALL of a term's

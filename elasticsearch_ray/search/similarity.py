@@ -83,13 +83,3 @@ class BM25:
         tf64 = tfs.astype(np.float64)
         denom = tf64 + self.k1 * ((1.0 - self.b) + self.b * dl / avgdl)
         return weight * tf64 / denom
-
-    def block_upper_bound(
-        self, max_tf: np.ndarray, min_norm_len: np.ndarray, avgdl: float, weight: float
-    ) -> np.ndarray:
-        """Per-block score upper bound from block-max (max_tf, min doc len):
-        BM25 is increasing in tf and decreasing in length, so this dominates
-        every doc in the block. Padded slightly to absorb float32 rounding."""
-        tf = max_tf.astype(np.float64)
-        denom = tf + self.k1 * ((1.0 - self.b) + self.b * min_norm_len.astype(np.float64) / avgdl)
-        return float(weight) * (tf / denom) * (1.0 + 1e-6)

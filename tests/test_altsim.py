@@ -166,11 +166,9 @@ def test_altsim_disjunction_sums(index_dir):
 
 
 def test_altsim_search_skips_bm25_fastpaths(index_dir):
-    """search() must not use BM25 block-max bounds when an alternative
-    similarity is active: top-k order must follow the alt-sim scores."""
+    """search() must rank by the alt-sim scores when an alternative
+    similarity is active, not by BM25."""
     sim = make_similarity("LMDirichlet", mu=2000.0)
-    # under BM25, a term with global df > 4096 routes to the impact-ordered
-    # block collector; an alt similarity must score every match instead
     s = IndexSearcher(index_dir, score_mode="exact64", similarity=sim)
     ids, sc = s.search({"kind": "term", "term": "data", "k": 3})
     want = brute("LMDirichlet", "data", mu=2000.0)

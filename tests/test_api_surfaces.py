@@ -275,7 +275,7 @@ def test_search_analyzer_override(ray_session):
     ids2, sc2 = plain._eval({"kind": "match", "text": "fast"})
     assert np.array_equal(np.sort(ids1), np.sort(ids2))
     assert np.allclose(np.sort(sc1), np.sort(sc2))
-    # the WAND top-k path honors it too
+    # search() honors it too
     t1 = syn.search({"kind": "match", "text": "rapid", "k": 5})
     t2 = plain.search({"kind": "match", "text": "fast", "k": 5})
     assert list(t1[0]) == list(t2[0])

@@ -35,6 +35,21 @@ def test_distributed_equals_global(index_dir):
         )
 
 
+def test_case_insensitive_term_through_search(index_dir):
+    """A case_insensitive term folds its value before lookup through
+    search(), on one searcher and across the partition actors."""
+    glob = IndexSearcher(index_dir)
+    dist = DistributedSearcher(index_dir, num_searchers=3)
+    want_ids, want_sc = glob.search({"kind": "term", "term": "return", "k": 10})
+    assert want_ids.size == 10
+    q = {"kind": "term", "term": "RETURN", "case_insensitive": True, "k": 10}
+    for s in (glob, dist):
+        ids, sc = s.search(q)
+        assert list(ids) == list(want_ids)
+        np.testing.assert_allclose(np.asarray(sc, np.float64), want_sc,
+                                   rtol=1e-7)
+
+
 def test_partition_stats_differ_without_dfs(index_dir):
     """Sanity that the DFS phase matters: a lone partition's local stats
     differ from global (so score parity above is non-trivial)."""

@@ -138,32 +138,36 @@ def test_merge_lineage_live_segments(index_dir):
         assert m.doc_count > 0 and m.term_count > 0
 
 
-def test_wand_equals_exhaustive(searcher):
-    """Every pruning collector must be rank-identical to the exhaustive
-    scorer: the search() routing (impact-probe single term + exhaustive
-    disjunction), and term_impact_topk called directly."""
-    from elasticsearch_ray.search.wand import term_impact_topk
+def test_phrase_search_equals_exhaustive(corpus_dir, index_dir, searcher,
+                                         tmp_path):
+    """search() sends every exact phrase, field-scoped or under an
+    alternative similarity too, to _phrase_topk; it must be rank-identical
+    to the exhaustive _topk(*_eval(q), k). chunk=4 forces the bounded
+    collector on these small corpora."""
+    from elasticsearch_ray.search.altsim import make_similarity
 
-    queries = [q for q in reference_queries()
-               if q["kind"] == "term"
-               or (q["kind"] == "match" and q.get("operator", "or") == "or")]
-    queries += [
-        {"kind": "term", "term": "def", "k": 5},          # hottest term
-        {"kind": "match", "text": "def return query scan index", "k": 7},
-        {"kind": "term", "term": "def", "k": 1},
-    ]
-    for q in queries:
-        w_ids, w_sc = searcher.search(q, use_wand=True)
-        e_ids, e_sc = searcher.search(q, use_wand=False)
-        assert list(w_ids) == list(e_ids), f"routing order mismatch: {q}"
-        np.testing.assert_array_equal(w_sc, e_sc, err_msg=str(q))
-        k = int(q.get("k", 10))
-        terms = ([q["term"]] if q["kind"] == "term"
-                 else searcher.analyzer(q["text"]))
-        if len(dict.fromkeys(terms)) == 1:
-            i_ids, i_sc = term_impact_topk(searcher, terms[0], k)
-            assert list(i_ids) == list(e_ids), f"impact order mismatch: {q}"
-            np.testing.assert_array_equal(i_sc, e_sc, err_msg=str(q))
+    texts = ([q["text"] for q in reference_queries()
+              if q["kind"] == "match_phrase" and not q.get("slop")]
+             + ["def scan", "return query def"])
+    alt = IndexSearcher(index_dir, score_mode="exact64",
+                        similarity=make_similarity("LMDirichlet", mu=2000.0))
+    path_idx = str(tmp_path / "path_index")
+    build_index(corpus_dir, path_idx, num_buckets=4,
+                extra_content_columns=("path",))
+    by_path = IndexSearcher(path_idx)
+    cases = [(s, None, t) for s in (searcher, alt) for t in texts]
+    cases += [(by_path, "path", t) for t in ("src dir1", "dir2 mod2")]
+    hits = dict.fromkeys((searcher, alt, by_path), 0)
+    for s, field, text in cases:
+        for k in (1, 5, 10):
+            q = {"kind": "match_phrase", "text": text, "field": field, "k": k}
+            e_ids, e_sc = s._topk(*s._eval(q), k)
+            hits[s] += e_ids.size
+            for ids, sc in (s.search(q),
+                            s._phrase_topk(text, k, field=field, chunk=4)):
+                assert list(ids) == list(e_ids), q
+                np.testing.assert_array_equal(sc, e_sc, err_msg=str(q))
+    assert all(hits.values()), hits
 
 
 def test_lazy_segment_mode_identical(index_dir, searcher):
@@ -187,10 +191,9 @@ def test_lazy_segment_mode_identical(index_dir, searcher):
 def _per_row_postings(index_dir):
     """term -> its postings rows decoded one row at a time by the codec's
     own per-row functions, rows in doc order: a list of (doc_ids, tfs,
-    blocks, positions) with blocks = [(ids, tfs)] per 128-doc block and
-    positions = one absolute position array per doc."""
-    from elasticsearch_ray.codec import (EncodedPostings, decode_block,
-                                         decode_positions, varbyte_decode)
+    positions) with positions = one absolute position array per doc."""
+    from elasticsearch_ray.codec import (EncodedPostings, decode_positions,
+                                         varbyte_decode)
 
     by_term: dict[str, list] = {}
     for sid in live_segments(committed_segments(index_dir)):
@@ -204,9 +207,8 @@ def _per_row_postings(index_dir):
                     "skip_pos_off", "skip_max_tf", "skip_min_norm")})
             ids = np.cumsum(varbyte_decode(e.doc_bytes, e.df).astype(np.int64)) - 1
             tfs = varbyte_decode(e.tf_bytes, e.df).astype(np.int64)
-            blocks = [decode_block(e, b) for b in range(e.skip_last_doc.size)]
             by_term.setdefault(r["term"], []).append(
-                (ids, tfs, blocks, decode_positions(e, tfs)))
+                (ids, tfs, decode_positions(e, tfs)))
     for rows in by_term.values():
         rows.sort(key=lambda row: int(row[0][0]))
     return by_term
@@ -215,7 +217,7 @@ def _per_row_postings(index_dir):
 @pytest.mark.parametrize("lazy", [False, True])
 def test_batched_decode_equals_per_row_decode(index_dir, lazy):
     """Every term's gathered postings (one varbyte call per stream) equal
-    the per-row decode: doc ids, tfs, every block and the positions, both
+    the per-row decode: doc ids, tfs and the positions, both
     merged and row by row, on the salted multi-segment index."""
     s = IndexSearcher(index_dir, lazy=lazy)
     by_term = _per_row_postings(index_dir)
@@ -226,14 +228,7 @@ def test_batched_decode_equals_per_row_decode(index_dir, lazy):
         assert len(tp.rows) == len(rows), term
         np.testing.assert_array_equal(tp.doc_ids, np.concatenate([r[0] for r in rows]))
         np.testing.assert_array_equal(tp.tfs, np.concatenate([r[1] for r in rows]))
-        blocks = [b for r in rows for b in r[2]]
-        assert tp.n_blocks == len(blocks)
-        for g, (ids, tfs) in enumerate(blocks):
-            got_ids, got_tfs = tp.decode_block(g)
-            np.testing.assert_array_equal(got_ids, ids)
-            np.testing.assert_array_equal(got_tfs, tfs)
-        np.testing.assert_array_equal(tp.block_last_doc, [b[0][-1] for b in blocks])
-        positions = [p for r in rows for p in r[3]]
+        positions = [p for r in rows for p in r[2]]
         if not positions:
             continue
         ids, pos, starts, cuts = s._merged_positions(tp)
@@ -243,7 +238,7 @@ def test_batched_decode_equals_per_row_decode(index_dir, lazy):
         for ri, r in enumerate(rows):
             ids, pos, starts, cuts = tp.decode_positions(ri)
             np.testing.assert_array_equal(ids, r[0])
-            np.testing.assert_array_equal(pos, np.concatenate(r[3]))
+            np.testing.assert_array_equal(pos, np.concatenate(r[2]))
 
 
 def test_lookup_counters(index_dir):
@@ -270,82 +265,23 @@ def test_lookup_counters(index_dir):
     for name in ("term_cache_misses", "postings_rows", "varbyte_decodes"):
         assert warm[name] == cold[name], name
 
-def test_wand_actually_prunes_on_skewed_tf(tmp_path, ray_session):
-    """On bursty-tf data (the realistic case), WAND must decode strictly
-    fewer blocks than the exhaustive scan — i.e. the block-max skipping does
-    real work, not just bookkeeping."""
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from elasticsearch_ray.search.engine import IndexSearcher, TermPostings
-
-    rng = np.random.default_rng(42)
-    # 6000 docs; "hot" appears everywhere with tf=1, except 30 early "bursty"
-    # docs with tf=40: once the heap fills with them (first blocks), every
-    # later tf=1 block's upper bound is non-competitive and must be skipped
-    docs = []
-    bursty = set(range(30))
-    for i in range(6000):
-        base = ["hot"] + [f"w{rng.integers(0, 500)}" for _ in range(20)]
-        if i in bursty:
-            base += ["hot"] * 39
-        docs.append(" ".join(base))
-    src = str(tmp_path / "c.parquet")
-    pq.write_table(pa.table({
-        "repo": ["r"] * 6000, "path": [f"f{i}" for i in range(6000)],
-        "commit": ["c"] * 6000, "lang": ["x"] * 6000, "content": docs,
-    }), src)
-    idx = str(tmp_path / "i")
-    build_index(src, idx, docs_per_partition=10**9, num_buckets=4,
-                hot_terms=frozenset())
-
-    # single-term routing goes to the impact-probe collector; the skewed
-    # corpus must let it stop after the probe instead of decoding all blocks
-    s = IndexSearcher(idx)
-    decoded = {"n": 0}
-    orig = TermPostings.decode_block
-
-    def counting(self, g):
-        decoded["n"] += 1
-        return orig(self, g)
-
-    TermPostings.decode_block = counting
-    try:
-        w_ids, w_sc = s.search({"kind": "term", "term": "hot", "k": 10})
-        wand_blocks = decoded["n"]
-    finally:
-        TermPostings.decode_block = orig
-    total_blocks = s._get_term("hot").n_blocks
-    e_ids, e_sc = s.search({"kind": "term", "term": "hot", "k": 10},
-                           use_wand=False)
-    assert list(w_ids) == list(e_ids)
-    np.testing.assert_array_equal(w_sc, e_sc)
-    # all 30 bursty docs have far higher scores than tf=1 docs; once the heap
-    # fills with them most blocks' upper bounds are non-competitive
-    assert wand_blocks < total_blocks * 0.25, (wand_blocks, total_blocks)
-
 
 def test_phrase_topk_equals_exhaustive(searcher):
     """Impact-bounded phrase collector (_phrase_topk) must be rank-identical
     to exhaustive _phrase + _topk. chunk=4 forces the bounded path even on
     the small module corpus; chunk default exercises the small-cand
-    passthrough. Also covers the search() dispatch."""
+    passthrough; k=0 (size=0) returns no hits on both paths."""
     phrase_qs = [q for q in reference_queries()
                  if q["kind"] == "match_phrase" and not q.get("slop")]
     texts = [q["text"] for q in phrase_qs] + ["def scan", "return query def"]
     for text in texts:
-        for k in (1, 5, 10, 100):
+        for k in (0, 1, 5, 10, 100):
             e_ids, e_sc = searcher._topk(*searcher._phrase(text), k)
             for chunk in (4, 64, 4096):
                 b_ids, b_sc = searcher._phrase_topk(text, k, chunk=chunk)
                 assert list(b_ids) == list(e_ids), (text, k, chunk)
                 np.testing.assert_array_equal(b_sc, e_sc,
                                               err_msg=f"{text} k={k}")
-    for q in phrase_qs:
-        w_ids, w_sc = searcher.search(q, use_wand=True)
-        e_ids, e_sc = searcher.search(q, use_wand=False)
-        assert list(w_ids) == list(e_ids), q
-        np.testing.assert_array_equal(w_sc, e_sc, err_msg=str(q))
 
 
 def test_completion_suggester_weighted_ordering():
