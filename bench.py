@@ -7,7 +7,9 @@ ray.init(num_cpus=$RAY_GRAFT_CPUS, default 32):
                     corpus (BASELINE.json input_hint shape), sized by sf.
                     Reports docs/sec (files/sec) and MB/sec.
   2. query_serving— BM25 top-k over the reference query set through the
-                    searcher; reports p50/p99 per-query latency.
+                    searcher; reports p50/p99 per-query latency, and the
+                    same through the DistributedSearcher actor path
+                    (query_dist_p50_ms/query_dist_p99_ms, outside the sum).
   3. operators    — representative testdata pipelines (aggs, dedup, knn,
                     text) over $GRAFT_SF_DIR.
 
@@ -145,6 +147,33 @@ def run_bench() -> dict:
     timings["query_p50_ms"] = round(float(np.percentile(lat, 50) * 1e3), 3)
     timings["query_p99_ms"] = round(float(np.percentile(lat, 99) * 1e3), 3)
     timings["query_max_ms"] = round(float(lat.max() * 1e3), 3)
+
+    # --- 2b. the same queries through the actor path that entry() serves
+    # through: 2 partition actors, one compiled-graph execution per query,
+    # the same warm-up and best-of-5 method. Every answer must equal the
+    # in-driver searcher's. OUT of the headline sum.
+    from elasticsearch_ray.search.distributed import DistributedSearcher
+
+    dist = DistributedSearcher(idx_dir, num_searchers=2)
+    for q in queries:  # warm-up pass, also the rank-parity check
+        ids, sc = searcher.search(q)
+        d_ids, d_sc = dist.search(q)
+        assert list(d_ids) == list(ids), q
+        np.testing.assert_array_equal(d_sc, np.asarray(sc, np.float64),
+                                      err_msg=str(q))
+    per_dist = np.full((len(queries), n_passes), np.inf)
+    for p in range(n_passes):
+        for i, q in enumerate(queries):
+            q0 = time.time()
+            dist.search(q)
+            per_dist[i, p] = time.time() - q0
+    lat_dist = per_dist.min(axis=1)
+    timings["query_dist_p50_ms"] = round(float(np.percentile(lat_dist, 50) * 1e3), 3)
+    timings["query_dist_p99_ms"] = round(float(np.percentile(lat_dist, 99) * 1e3), 3)
+    dist.close()
+    for a in dist.actors:
+        ray.kill(a)
+    del dist
 
     # --- 3. representative operators over the driver testdata ---
     from elasticsearch_ray.pipelines import ops as OPS

@@ -4,8 +4,9 @@ A dataset of queries flows through `map_batches`; every batch of queries
 goes to the partition-owning actors of a `DistributedSearcher` in one
 fan-out, and `search_batch` merges their per-query top-k — the reference's
 `_msearch`, which sends a list of searches through the same coordinator
-protocol as one search (search/distributed.py, SURVEY.md §3.2). The actors
-live as long as the Dataset that holds their handles.
+protocol as one search (search/distributed.py, SURVEY.md §3.2). Built from
+an index path, the actors live as long as the Dataset that holds their
+handles; a running searcher's actors live as long as the searcher.
 """
 
 from __future__ import annotations
@@ -47,11 +48,21 @@ def queries_to_dataset(queries: list[dict]):
     return rd.from_items(rows)
 
 
-def search_dataset(index_dir: str, queries, *, concurrency: int = 2):
+def search_dataset(index_dir_or_searcher, queries, *, concurrency: int = 2):
     """queries: list[dict] or a Dataset with (qid, query) -> results Dataset
-    of (qid, rank, doc_id, score), served by `concurrency` partition actors."""
+    of (qid, rank, doc_id, score), served by `concurrency` new partition
+    actors over an index path, or by the actors of a running
+    DistributedSearcher (which must outlive the Dataset; `concurrency` is
+    then unused).
+
+    Batches go to the actors as plain calls (`search_batch`), not through
+    the searcher's compiled graph: the map tasks run in Ray worker
+    processes, and a compiled graph can only be executed by the process that
+    compiled it. A batch of 16 queries already spreads one call's cost."""
     if isinstance(queries, list):
         queries = queries_to_dataset(queries)
-    dist = DistributedSearcher(index_dir, num_searchers=concurrency)
+    dist = index_dir_or_searcher
+    if not isinstance(dist, DistributedSearcher):
+        dist = DistributedSearcher(dist, num_searchers=concurrency)
     return queries.map_batches(_search_rows, fn_kwargs={"actors": dist.actors},
                                batch_format="pyarrow", batch_size=16)

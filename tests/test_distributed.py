@@ -253,3 +253,106 @@ def test_bool_msm_distributed(index_dir):
         assert list(g_ids) == list(d_ids), spec
         np.testing.assert_allclose(
             np.asarray(g_sc, np.float64), d_sc, rtol=1e-7, err_msg=spec)
+
+
+def _same_answers(got, want, queries):
+    for q, (g_ids, g_sc), (w_ids, w_sc) in zip(queries, got, want, strict=True):
+        assert list(g_ids) == list(w_ids), q
+        np.testing.assert_array_equal(g_sc, w_sc, err_msg=str(q))
+
+
+def test_graph_failover_between_executions(index_dir):
+    """An actor killed (and restarted by Ray) between two executions of the
+    compiled graph: the next search tears the graph down, waits for the
+    restarted actor, compiles once more and resends, so every answer equals
+    the clean run's and the graph is recompiled exactly once."""
+    import ray
+
+    stream = reference_queries()
+    dist = DistributedSearcher(index_dir, num_searchers=3)
+    want = [dist.search(q) for q in stream]
+    assert dist.counters == {"graph_compiles": 1, "graph_executions": len(stream)}
+    ray.kill(dist.actors[1], no_restart=False)
+    got = [dist.search(q) for q in stream]
+    _same_answers(got, want, stream)
+    assert dist.counters == {"graph_compiles": 2, "failovers": 1,
+                             "graph_executions": 2 * len(stream)}
+
+
+def test_close_then_search_recompiles(index_dir):
+    """close() tears the graph down and leaves the actors running; the next
+    search compiles a new graph and answers identically."""
+    stream = reference_queries()
+    dist = DistributedSearcher(index_dir, num_searchers=3)
+    want = [dist.search(q) for q in stream]
+    dist.close()
+    dist.close()  # a second close has nothing to tear down
+    assert dist.counters["graph_compiles"] == 1
+    got = [dist.search(q) for q in stream]
+    _same_answers(got, want, stream)
+    assert dist.counters == {"graph_compiles": 2,
+                             "graph_executions": 2 * len(stream)}
+
+
+def test_graph_waits_past_the_dag_get_timeout(index_dir, monkeypatch):
+    """A graph compiled while Ray's compiled-graph get timeout is 0 s (the
+    default is 10 s) still answers every query: search waits for the
+    actors as long as a query takes, as a plain ray.get does."""
+    from ray.dag import DAGContext
+
+    glob = IndexSearcher(index_dir)
+    dist = DistributedSearcher(index_dir, num_searchers=3)
+    monkeypatch.setattr(DAGContext.get_current(), "get_timeout", 0)
+    stream = reference_queries()
+    got = [dist.search(q) for q in stream]
+    monkeypatch.undo()
+    for q, (ids, sc) in zip(stream, got):
+        g_ids, g_sc = glob.search(q)
+        assert list(ids) == list(g_ids), q
+        np.testing.assert_allclose(np.asarray(g_sc, np.float64), sc,
+                                   rtol=1e-7, err_msg=str(q))
+    assert dist.counters == {"graph_compiles": 1, "graph_executions": len(stream)}
+
+
+def test_search_raises_when_an_actor_is_gone_for_good(index_dir):
+    """An actor killed without restart makes search raise RayActorError
+    within a bounded time instead of blocking. The kill is asynchronous: a
+    search may still be answered by the dying process, so queries are sent
+    until one raises."""
+    import time
+
+    import ray
+    from ray.exceptions import RayActorError
+
+    dist = DistributedSearcher(index_dir, num_searchers=3)
+    q = {"kind": "match", "text": "def return scan", "k": 10}
+    want_ids, _ = dist.search(q)
+    ray.kill(dist.actors[1])
+    t = time.monotonic()
+    with pytest.raises(RayActorError):
+        while time.monotonic() - t < 30:
+            ids, _ = dist.search(q)
+            assert list(ids) == list(want_ids)
+    assert time.monotonic() - t < 30
+    assert dist.counters["failovers"] <= 1
+
+
+def test_graph_served_actors_end_with_the_searcher(index_dir):
+    """A compiled graph leaves its actors referenced after teardown, so a
+    searcher that served through one ends its actors when it is dropped."""
+    import gc
+    import time
+
+    from ray._private.state import actors as actor_state
+
+    dist = DistributedSearcher(index_dir, num_searchers=3)
+    dist.search({"kind": "term", "term": "def", "k": 5})
+    ids = [a._actor_id.hex() for a in dist.actors]
+    del dist
+    gc.collect()
+    deadline = time.monotonic() + 60
+    while time.monotonic() < deadline:
+        if all(actor_state(i)["State"] == "DEAD" for i in ids):
+            break
+        time.sleep(0.2)
+    assert [actor_state(i)["State"] for i in ids] == ["DEAD"] * 3

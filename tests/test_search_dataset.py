@@ -1,7 +1,8 @@
 """`search_dataset` serves query batches on DistributedSearcher's partition
 actors: qids must be unique, an index without live segments is refused, a
 partition actor killed while batches are in flight leaves the rows as a
-clean run's, and the actors end with the Dataset that holds them."""
+clean run's, the actors end with the Dataset that holds them, and a running
+searcher's actors serve batches while its compiled graph stays up."""
 
 from __future__ import annotations
 
@@ -116,3 +117,27 @@ def test_search_dataset_actors_end_with_the_dataset(index_dir, monkeypatch):
             break
         time.sleep(0.2)
     assert [actor_state(i)["State"] for i in ids] == ["DEAD"] * 3
+
+
+def test_search_dataset_on_a_running_searcher(index_dir, monkeypatch):
+    """Given a searcher that has served through its compiled graph, the
+    batches run as plain calls on its actors beside the graph: the rows
+    equal a path-built run's, no actor is started, and the graph still
+    answers afterwards without a recompile."""
+    stream = _stream(2)
+    want = _rows(pa.concat_tables(list(search_dataset(
+        index_dir, stream, concurrency=3).iter_batches(
+            batch_format="pyarrow", batch_size=None))))
+    dist = DistributedSearcher(index_dir, num_searchers=3)
+    before = [dist.search(q) for q in reference_queries()]
+    started = _record_actors(monkeypatch)
+    got = _rows(pa.concat_tables(list(search_dataset(
+        dist, stream).iter_batches(batch_format="pyarrow", batch_size=None))))
+    assert got == want
+    assert started == []
+    for q, (ids, sc) in zip(reference_queries(), before):
+        a_ids, a_sc = dist.search(q)
+        assert list(a_ids) == list(ids), q
+        assert list(a_sc) == list(sc), q
+    n = len(reference_queries())
+    assert dist.counters == {"graph_compiles": 1, "graph_executions": 2 * n}
