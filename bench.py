@@ -136,13 +136,18 @@ def run_bench() -> dict:
     for q in queries:  # untimed warmup pass (posting/position cache fill)
         searcher.search(q)
     n_passes = 5
-    per_query = np.full((len(queries), n_passes), np.inf)
-    for p in range(n_passes):
-        for i, q in enumerate(queries):
-            q0 = time.time()
-            searcher.search(q)
-            per_query[i, p] = time.time() - q0
-    lat = per_query.min(axis=1)
+
+    def best_of_passes(search):
+        """Per-query latency: the best of n_passes timed passes."""
+        per_query = np.full((len(queries), n_passes), np.inf)
+        for p in range(n_passes):
+            for i, q in enumerate(queries):
+                q0 = time.time()
+                search(q)
+                per_query[i, p] = time.time() - q0
+        return per_query.min(axis=1)
+
+    lat = best_of_passes(searcher.search)
     timings["query_total"] = round(float(lat.sum()), 3)
     timings["query_p50_ms"] = round(float(np.percentile(lat, 50) * 1e3), 3)
     timings["query_p99_ms"] = round(float(np.percentile(lat, 99) * 1e3), 3)
@@ -161,13 +166,7 @@ def run_bench() -> dict:
         assert list(d_ids) == list(ids), q
         np.testing.assert_array_equal(d_sc, np.asarray(sc, np.float64),
                                       err_msg=str(q))
-    per_dist = np.full((len(queries), n_passes), np.inf)
-    for p in range(n_passes):
-        for i, q in enumerate(queries):
-            q0 = time.time()
-            dist.search(q)
-            per_dist[i, p] = time.time() - q0
-    lat_dist = per_dist.min(axis=1)
+    lat_dist = best_of_passes(dist.search)
     timings["query_dist_p50_ms"] = round(float(np.percentile(lat_dist, 50) * 1e3), 3)
     timings["query_dist_p99_ms"] = round(float(np.percentile(lat_dist, 99) * 1e3), 3)
     dist.close()
@@ -221,13 +220,7 @@ def run_bench() -> dict:
         s4 = IndexSearcher(idx4)
         for q in queries:
             s4.search(q)
-        per4 = np.full((len(queries), n_passes), np.inf)
-        for p in range(n_passes):
-            for i, q in enumerate(queries):
-                q0 = time.time()
-                s4.search(q)
-                per4[i, p] = time.time() - q0
-        lat4 = per4.min(axis=1)
+        lat4 = best_of_passes(s4.search)
         timings["query_p99_400k_ms"] = round(
             float(np.percentile(lat4, 99) * 1e3), 3)
         timings["query_p50_400k_ms"] = round(
